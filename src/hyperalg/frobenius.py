@@ -18,7 +18,7 @@ import numpy as np
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .rootdata import Root, RootSystem
-from .straighten import Engine, HPart, InsufficientLevelError, PBWElement
+from .straighten import Engine, HPart, InsufficientLevelError, PBWElement, exps_sum
 
 # A word is a product of simple-root divided powers, stored as a tuple of
 # (simple index, exponent) with adjacent indices distinct.
@@ -35,11 +35,7 @@ class SimpleWordTable:
 
     def express(self, exps: Tuple[int, ...]) -> List[Tuple[int, Word]]:
         """Combination of simple words straightening to the given monomial."""
-        rs = self.engine.rs
-        mu = tuple(
-            sum(exps[k] * rs.convex_roots[k][i] for k in range(rs.num_positive))
-            for i in range(rs.rank)
-        )
+        mu = exps_sum(exps, self.engine.rs.convex_roots)
         block = self._block(mu)
         try:
             return block[exps]

@@ -176,13 +176,9 @@ def rank_fp(mat: np.ndarray, p: int) -> int:
     if mat.size == 0:
         return 0
     if p == 2:
-        rows = []
-        for row in mat % 2:
-            bits = 0
-            for j in np.flatnonzero(row):
-                bits |= 1 << int(j)
-            if bits:
-                rows.append(bits)
+        # Row i as a Python int whose bit j is column j.
+        packed = np.packbits(mat % 2, axis=1, bitorder="little")
+        rows = [r for r in (int.from_bytes(b, "little") for b in packed) if r]
         rank = 0
         while rows:
             piv = rows.pop()
@@ -293,26 +289,12 @@ class _TargetIndex:
         self.weight_of_key: Dict = {}
         self.rows_by_weight: Dict[Tuple[int, ...], List] = {}
         for key in keys:
-            w = self._key_weight(key)
+            w = engine.term_weight(key)
             self.weight_of_key[key] = w
             block = self.rows_by_weight.setdefault(w, [])
             self.key_offset[key] = len(block)
             block.append(key)
         self.dim = len(keys) * self.hsize
-
-    def _key_weight(self, key) -> Tuple[int, ...]:
-        a, b = key
-        eng = self.engine
-        out = [0] * eng.rs.rank
-        for k, n in enumerate(b):
-            if n:
-                for i, w in enumerate(eng.convex_weights[k]):
-                    out[i] += n * w
-        for k, n in enumerate(a):
-            if n:
-                for i, w in enumerate(eng.convex_weights[k]):
-                    out[i] -= n * w
-        return tuple(out)
 
     def column(self, x: PBWElement, weight: Tuple[int, ...]) -> np.ndarray:
         """Coordinates of a weight-homogeneous element in this block."""

@@ -13,6 +13,8 @@ import math
 from fractions import Fraction
 from typing import Dict, Iterable, List, Tuple
 
+import numpy as np
+
 from .chevalley import StructureConstants
 from .rootdata import Root, RootSystem
 
@@ -309,16 +311,23 @@ class QOracle:
         return out
 
     def reduce_mod_p(self, x: QElement, p: int, level: int, engine=None):
-        """Image in the F_p algebra at the given torus level."""
-        from .straighten import Engine
+        """Image in the F_p algebra at the given torus level.
+
+        The torus tables are computed here from math.comb in int64, apart
+        from the engine's table code; the engine's element and torus-part
+        classes only hold the result.
+        """
+        from .straighten import Engine, HPart, PBWElement
 
         if engine is None:
             engine = Engine(self.rs, p, sc=self.sc)
         elif engine.p != p or engine.rs is not self.rs:
             raise ValueError("engine prime/root-system mismatch")
-        divided = self.to_divided_basis(x)
-        result = engine.zero(level)
-        for (a, degs, b), coeff in divided.items():
+        size = p**level
+        rank = self.rs.rank
+        tables: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], np.ndarray] = {}
+        binom: Dict[int, np.ndarray] = {}
+        for (a, degs, b), coeff in self.to_divided_basis(x).items():
             if coeff.denominator != 1:
                 raise NotInZFormError(
                     f"coefficient {coeff} of divided monomial {(a, degs, b)} "
@@ -327,11 +336,21 @@ class QOracle:
             scalar = int(coeff) % p
             if scalar == 0:
                 continue
-            if max(degs, default=0) >= p**level:
+            if max(degs, default=0) >= size:
                 raise NotInZFormError("torus level too small for reduction")
-            h = engine.hpart_one(level).scale(scalar)
-            for i, deg in enumerate(degs):
-                if deg:
-                    h = h.mul(engine.binom_h_simple(i, deg, level))
-            result = result.add(engine.monomial(a, b, h, level))
-        return result
+            # value at weight lam: scalar * prod_i binom(lam_i, degs_i) mod p
+            tab = np.full((size,) * rank, scalar, dtype=np.int64)
+            for i, d in enumerate(degs):
+                if d not in binom:
+                    binom[d] = np.array(
+                        [math.comb(v, d) % p for v in range(size)], dtype=np.int64
+                    )
+                shape = [1] * rank
+                shape[i] = size
+                tab = tab * binom[d].reshape(shape) % p
+            key = (a, b)
+            tables[key] = (tables[key] + tab) % p if key in tables else tab
+        terms = {
+            key: HPart(tab, p, level) for key, tab in tables.items() if tab.any()
+        }
+        return PBWElement(engine, level, terms)

@@ -12,6 +12,8 @@ merge rule, the raising/lowering collision rule, and torus-part shifts.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -20,6 +22,8 @@ from .chevalley import StructureConstants
 from .rootdata import Root, RootSystem, Weight
 
 _STEP_LIMIT = 50_000_000
+# Torus tables are int16: a product of two residues must fit.
+_TABLE_MAX = int(np.iinfo(np.int16).max)
 
 
 class InsufficientLevelError(ValueError):
@@ -43,6 +47,32 @@ def lucas_binom(m: int, n: int, p: int) -> int:
             den = den * (t + 1) % p
         result = result * num * pow(den, p - 2, p) % p
     return result
+
+
+def exps_sum(exps: Sequence[int], vectors: Sequence[Sequence[int]]) -> Tuple[int, ...]:
+    """Coordinatewise sum of exps[k] * vectors[k]."""
+    out = [0] * len(vectors[0])
+    for n, vec in zip(exps, vectors):
+        if n:
+            for i, v in enumerate(vec):
+                out[i] += n * v
+    return tuple(out)
+
+
+# (table side, rank, weight mod side) -> flat index of the shifted table,
+# or None for the zero shift.  Shared by all engines, so that a fresh
+# engine finds its indices built; a table shape holds at most side^rank
+# entries of side^rank indices each.
+_SHIFT_INDEX: Dict[Tuple[int, int, Tuple[int, ...]], Optional[np.ndarray]] = {}
+
+
+def _shift_index(size: int, rank: int, w: Tuple[int, ...]) -> Optional[np.ndarray]:
+    if not any(w):
+        return None
+    flat = np.zeros((size,) * rank, dtype=np.intp)
+    for grid, wi in zip(np.indices((size,) * rank), w):
+        flat = flat * size + (grid + wi) % size
+    return flat
 
 
 class HPart:
@@ -91,12 +121,16 @@ class HPart:
 
     def shift(self, w: Weight) -> "HPart":
         """Table for lam -> value at lam + w."""
-        size = self.arr.shape[0]
         arr = self.arr
-        for axis, wi in enumerate(w):
-            if wi % size:
-                arr = np.roll(arr, -(wi % size), axis=axis)
-        return HPart(arr, self.p, self.level)
+        size = arr.shape[0]
+        key = (size, arr.ndim, tuple(wi % size for wi in w))
+        try:
+            idx = _SHIFT_INDEX[key]
+        except KeyError:
+            idx = _SHIFT_INDEX[key] = _shift_index(*key)
+        if idx is None:
+            return HPart(arr, self.p, self.level)
+        return HPart(arr.take(idx), self.p, self.level)
 
     def is_periodic(self, r: int) -> bool:
         """True when the table depends only on the weight modulo p^r."""
@@ -172,18 +206,7 @@ class PBWElement:
     # -- structure ------------------------------------------------------
 
     def weight_of_term(self, key) -> Weight:
-        a, b = key
-        eng = self.engine
-        out = [0] * eng.rs.rank
-        for k, n in enumerate(b):
-            if n:
-                for i, w in enumerate(eng.convex_weights[k]):
-                    out[i] += n * w
-        for k, n in enumerate(a):
-            if n:
-                for i, w in enumerate(eng.convex_weights[k]):
-                    out[i] -= n * w
-        return tuple(out)
+        return self.engine.term_weight(key)
 
     def in_truncation(self, r: int) -> bool:
         bound = self.engine.p**r
@@ -213,6 +236,12 @@ class Engine:
     """Multiplication engine bound to one root system and prime."""
 
     def __init__(self, rs: RootSystem, p: int, sc: Optional[StructureConstants] = None):
+        if p > 1 and (p - 1) ** 2 > _TABLE_MAX:
+            raise ValueError(
+                f"p={p} is too large: products of residues overflow the int16 torus tables"
+            )
+        if p < 2 or any(p % q == 0 for q in range(2, math.isqrt(p) + 1)):
+            raise ValueError(f"p={p} is not a prime")
         self.rs = rs
         self.p = p
         self.sc = sc if sc is not None else StructureConstants(rs)
@@ -224,6 +253,26 @@ class Engine:
         self._signed_cache: Dict = {}
         self._mid_cache: Dict = {}
         self._binom_lut: Dict = {}
+        self._weight_cache: Dict[int, Dict] = {1: {}, -1: {}}
+        self._mul_signed_cache: Dict = {}
+
+    # -- weights --------------------------------------------------------
+
+    def exps_weight(self, exps: Tuple[int, ...], sign: int = 1) -> Weight:
+        """Weight of e^(exps) (sign +1) or f^(exps) (sign -1), memoized."""
+        cache = self._weight_cache[sign]
+        w = cache.get(exps)
+        if w is None:
+            w = exps_sum(exps, self.convex_weights)
+            w = cache[exps] = w if sign > 0 else tuple(-x for x in w)
+        return w
+
+    def term_weight(self, key) -> Weight:
+        """Weight of the monomial f^(a) * H * e^(b), for key (a, b)."""
+        a, b = key
+        return tuple(
+            x + y for x, y in zip(self.exps_weight(a, -1), self.exps_weight(b))
+        )
 
     # -- constructors ---------------------------------------------------
 
@@ -654,10 +703,17 @@ class Engine:
         self, x: Tuple[int, ...], y: Tuple[int, ...], sign: int
     ) -> Dict[Tuple[int, ...], int]:
         """Product of two normal-ordered one-sign monomials."""
-        word = tuple((k, n) for k, n in enumerate(x) if n) + tuple(
-            (k, n) for k, n in enumerate(y) if n
-        )
-        return self.straighten_signed(word, sign)
+        # Keyed (x, sign) then y, so that no key tuple is kept per pair.
+        by_y = self._mul_signed_cache.get((x, sign))
+        if by_y is None:
+            by_y = self._mul_signed_cache[(x, sign)] = {}
+        out = by_y.get(y)
+        if out is None:
+            word = tuple((k, n) for k, n in enumerate(x) if n) + tuple(
+                (k, n) for k, n in enumerate(y) if n
+            )
+            out = by_y[y] = self.straighten_signed(word, sign)
+        return out
 
     # -- the mixed-word straightener ------------------------------------
 
@@ -826,17 +882,10 @@ class Engine:
         for (a1, b1), h1 in x.terms.items():
             for (a2, b2), h2 in y.terms.items():
                 for c, d, hm in self._middle(b1, a2, level):
-                    wc = [0] * self.rs.rank
-                    for k, n in enumerate(c):
-                        if n:
-                            for i, wv in enumerate(self.convex_weights[k]):
-                                wc[i] -= n * wv
-                    wd = [0] * self.rs.rank
-                    for k, n in enumerate(d):
-                        if n:
-                            for i, wv in enumerate(self.convex_weights[k]):
-                                wd[i] -= n * wv
-                    h_total = h1.shift(tuple(wc)).mul(hm).mul(h2.shift(tuple(wd)))
+                    # h1 moves right past f^(c), h2 moves left past e^(d).
+                    wc = self.exps_weight(c, -1)
+                    wd = self.exps_weight(d, -1)
+                    h_total = h1.shift(wc).mul(hm).mul(h2.shift(wd))
                     if h_total.is_zero():
                         continue
                     fprod = self.mul_signed(a1, c, -1)

@@ -139,3 +139,13 @@ def test_out_file(tmp_path, capsys):
     )
     assert code == 0
     assert json.loads(target.read_text())["text"] == "1"
+
+
+@pytest.mark.parametrize("p", ["4", "191"])
+def test_mul_rejects_unsupported_prime(capsys, p):
+    code = main(["mul", "e[1]^(1)", "f[1]^(1)", "--type", "A1", "--p", p,
+                 "--level", "1"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error:")

@@ -136,3 +136,32 @@ def test_report_block_weights_are_lists_of_ints():
     for b in rep.blocks:
         assert isinstance(b["weight"], list)
         assert all(isinstance(v, int) for v in b["weight"])
+
+
+def _reference_rank_mod2(mat):
+    """Plain Gaussian elimination over F_2 on a copy of the matrix."""
+    m = (np.asarray(mat) % 2).astype(np.int64)
+    rank = 0
+    for col in range(m.shape[1]):
+        rows = [i for i in range(rank, m.shape[0]) if m[i, col]]
+        if not rows:
+            continue
+        m[[rank, rows[0]]] = m[[rows[0], rank]]
+        for i in range(m.shape[0]):
+            if i != rank and m[i, col]:
+                m[i] = (m[i] + m[rank]) % 2
+        rank += 1
+    return rank
+
+
+def test_rank_fp_p2_matches_reference():
+    rng = np.random.default_rng(23)
+    for nrows, ncols in ((5, 3), (9, 13), (17, 7), (30, 65), (70, 71), (40, 130)):
+        for density in (0.1, 0.5):
+            m = (rng.random((nrows, ncols)) < density).astype(np.int64)
+            # repeat some rows and columns so that the rank drops
+            m[nrows // 2] = m[0]
+            m[:, ncols - 1] = m[:, 0]
+            assert rank_fp(m, 2) == _reference_rank_mod2(m), (nrows, ncols)
+            # odd entries count as ones, even ones as zeros
+            assert rank_fp(3 * m + 2, 2) == _reference_rank_mod2(m)

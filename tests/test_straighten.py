@@ -346,3 +346,72 @@ def test_mixed_commutator_triangular_shape():
                 assert tuple(u - v for u, v in zip(wx, wy)) == tuple(
                     u - v for u, v in zip(wb, wa)
                 )
+
+
+def _rolled(arr, w):
+    """Reference shift: one np.roll per axis."""
+    size = arr.shape[0]
+    for axis, wi in enumerate(w):
+        arr = np.roll(arr, -(wi % size), axis=axis)
+    return arr
+
+
+def test_shift_matches_roll():
+    rng = np.random.default_rng(5)
+    for p, level in ((2, 1), (2, 2), (3, 1), (2, 4), (3, 3)):
+        size = p**level
+        for rank in (1, 2):
+            arr = rng.integers(0, p, size=(size,) * rank).astype(np.int16)
+            arr.flat[0] = (arr.flat[-1] + 1) % p  # not constant
+            h = HPart(arr, p, level)
+            for _ in range(12):
+                w = tuple(int(v) for v in rng.integers(-3 * size, 3 * size, size=rank))
+                got = h.shift(w)
+                assert got.arr.dtype == arr.dtype
+                assert np.array_equal(got.arr, _rolled(arr, w)), (p, level, w)
+            for w in [(0,) * rank, (size,) * rank, (-size,) * rank]:
+                assert h.shift(w).arr is arr
+            for w in [(1,) * rank, (-1,) * rank, (size + 1,) * rank]:
+                assert np.array_equal(h.shift(w).arr, _rolled(arr, w))
+
+
+def test_exps_weight_is_the_grading():
+    for label in SYSTEMS:
+        eng = engine_for(label, 2)
+        rs = eng.rs
+        rng = random.Random(17)
+        for _ in range(20):
+            a = tuple(rng.randrange(3) for _ in range(eng.nu))
+            b = tuple(rng.randrange(3) for _ in range(eng.nu))
+            root = [0] * rs.rank
+            for k in range(eng.nu):
+                for i in range(rs.rank):
+                    root[i] += (b[k] - a[k]) * rs.convex_roots[k][i]
+            assert eng.term_weight((a, b)) == rs.weight_coords(tuple(root))
+            assert eng.exps_weight(a, -1) == tuple(-x for x in eng.exps_weight(a))
+
+
+@pytest.mark.parametrize("p", [0, 1, 4, 9, 15, 49])
+def test_engine_rejects_non_prime(p):
+    with pytest.raises(ValueError, match="not a prime"):
+        Engine(build_root_system("A1"), p)
+
+
+@pytest.mark.parametrize("p", [191, 193, 257])
+def test_engine_rejects_primes_that_overflow_tables(p):
+    with pytest.raises(ValueError, match="too large"):
+        Engine(build_root_system("A1"), p)
+
+
+def test_largest_accepted_prime_matches_oracle():
+    # (p-1)^2 still fits the int16 tables at p=181: products whose torus
+    # parts meet large values agree with the oracle's independent tables.
+    rs = build_root_system("A1")
+    qo = QOracle(rs)
+    p, level = 181, 1
+    eng = Engine(rs, p, sc=qo.sc)
+    for b, a, c, d in ((2, 2, 2, 2), (3, 3, 3, 3), (6, 5, 4, 3)):
+        x = eng.multiply(eng.divided_power((1,), b, level), eng.divided_power((-1,), a, level))
+        y = eng.multiply(eng.divided_power((1,), c, level), eng.divided_power((-1,), d, level))
+        qprod = qo.multiply_divided([((1,), b), ((-1,), a), ((1,), c), ((-1,), d)])
+        assert eng.multiply(x, y).equals(qo.reduce_mod_p(qprod, p, level, engine=eng))
