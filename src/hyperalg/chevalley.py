@@ -55,10 +55,6 @@ class StructureConstants:
         except KeyError:
             raise ValueError(f"{gamma} + {delta} is not a root") from None
 
-    def structure_sign(self, gamma: Root, delta: Root) -> int:
-        n = self.bracket_const(gamma, delta)
-        return 1 if n > 0 else -1
-
     def coroot_coeffs(self, beta: Root) -> Tuple[int, ...]:
         """Coefficients of the coroot of beta over the simple coroots."""
         return self._coroot[beta]

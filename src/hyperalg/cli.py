@@ -16,11 +16,9 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import sys
 
-from concurrent.futures import ThreadPoolExecutor
 from typing import List, Optional, Tuple
 
 from .chevalley import StructureConstants
@@ -206,7 +204,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     sp.add_argument("--r", type=int, default=1)
     sp.add_argument("--n", type=int, default=1)
     sp.add_argument("--all-desk", action="store_true", dest="all_desk")
-    sp.add_argument("--threads", type=int, default=None)
+    sp.add_argument("--threads", type=int, default=None,
+                    help="ignored; specs always run one after another")
     sp.add_argument("--out", default=None)
 
     args = parser.parse_args(argv)
@@ -249,13 +248,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                 if not (args.statement and args.type and args.p):
                     parser.error("verify needs --statement, --type, --p (or --all-desk)")
                 specs = [MapSpec(args.statement, args.type, args.p, args.r, args.n)]
-            threads = args.threads or int(os.environ.get("HYPERALG_THREADS", "0")) \
-                or (os.cpu_count() or 1)
-            if threads > 1 and len(specs) > 1:
-                with ThreadPoolExecutor(max_workers=threads) as pool:
-                    reports = list(pool.map(verify, specs))
-            else:
-                reports = [verify(s) for s in specs]
+            reports = [verify(s) for s in specs]
             _emit(args, {"reports": [r.to_dict() for r in reports]})
             if not all(r.bijective for r in reports):
                 return 1

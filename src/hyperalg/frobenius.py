@@ -8,7 +8,8 @@ torus subalgebras separately, and extends to the whole algebra termwise
 through the triangular decomposition.  Evaluating the splitting on a
 divided power of a non-simple root requires rewriting it as a
 combination of words in simple divided powers first; the rewriting table
-is built lazily per weight block by solving a small linear system.
+is built lazily per weight block by one F_p row reduction
+(`linalg.row_reduce`) of the block's word matrix next to an identity.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import numpy as np
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from .linalg import row_reduce
 from .rootdata import Root, RootSystem
 from .straighten import Engine, HPart, InsufficientLevelError, PBWElement, exps_sum
 
@@ -103,37 +105,18 @@ class SimpleWordTable:
             signed = tuple((simple_idx[i], n) for i, n in word)
             for vec, c in engine.straighten_signed(signed, self.sign).items():
                 mat[mono_index[vec], j] = c
-        # Row reduce [mat | I]; a pivot in every row certifies that the
-        # simple words span the block, and the elimination record turns
-        # each unit vector into a word combination.
-        aug = np.concatenate([mat, np.eye(nrows, dtype=np.int64)], axis=1)
-        pivots: List[int] = []
-        row = 0
-        for col in range(ncols):
-            sel = None
-            for i in range(row, nrows):
-                if aug[i, col] % p:
-                    sel = i
-                    break
-            if sel is None:
-                continue
-            aug[[row, sel]] = aug[[sel, row]]
-            inv = pow(int(aug[row, col]) % p, p - 2, p)
-            aug[row] = aug[row] * inv % p
-            for i in range(nrows):
-                if i != row and aug[i, col] % p:
-                    aug[i] = (aug[i] - aug[i, col] * aug[row]) % p
-            pivots.append(col)
-            row += 1
-            if row == nrows:
-                break
-        if row < nrows:
+        # Row reduce [mat | I]; the simple words span the block exactly when
+        # every pivot falls in mat, and then the identity half turns each
+        # unit vector into a word combination.
+        aug = np.concatenate([mat, np.eye(nrows, dtype=np.int64)], axis=1) % p
+        pivots = row_reduce(aug, p)
+        if pivots[-1] >= ncols:
             raise RuntimeError(f"simple words fail to span weight block {mu}")
         block: Dict[Tuple[int, ...], List[Tuple[int, Word]]] = {}
         for mono, t in mono_index.items():
             combo: List[Tuple[int, Word]] = []
             for i, col in enumerate(pivots):
-                c = int(aug[i, ncols + t]) % p
+                c = int(aug[i, ncols + t])
                 if c:
                     combo.append((c, words[col]))
             block[mono] = combo

@@ -4,7 +4,9 @@ Each supported statement names a multiplication map from a tensor product
 of truncated subalgebras into a larger truncation.  The harness
 materializes the map column by column on explicit bases, splits it into
 independent blocks along the weight grading (multiplication adds
-weights), computes exact ranks over F_p, and reports bijectivity.
+weights), computes exact ranks over F_p with `linalg.row_reduce`, and
+reports bijectivity; the first rank-deficient block also gets a kernel
+witness, read off its reduced form.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import numpy as np
 from .chevalley import StructureConstants
 from .frobenius import Frobenius
 from .idempotents import enumerate_Xm, mu_hpart
+from .linalg import row_reduce
 from .rootdata import RootSystem, build_root_system
 from .straighten import Engine, PBWElement
 
@@ -171,82 +174,37 @@ def _mono_label(rs: RootSystem, a: Sequence[int], b: Sequence[int], mu) -> str:
 # -- exact rank over F_p ------------------------------------------------
 
 
+def _residues(mat: np.ndarray, p: int) -> np.ndarray:
+    """mat modulo p as a new int32 matrix, the working copy for row_reduce.
+
+    Made in one pass, without an int64 intermediate.  Half the width of
+    int64 keeps the copy of a large block small: the largest block of the
+    A2 p=2 Thm5.5 certificate is 38 MB as int64.
+    """
+    return np.remainder(mat, p, out=np.empty(np.shape(mat), dtype=np.int32))
+
+
 def rank_fp(mat: np.ndarray, p: int) -> int:
     """Exact rank of an integer matrix modulo p."""
-    if mat.size == 0:
-        return 0
-    if p == 2:
-        # Row i as a Python int whose bit j is column j.
-        packed = np.packbits(mat % 2, axis=1, bitorder="little")
-        rows = [r for r in (int.from_bytes(b, "little") for b in packed) if r]
-        rank = 0
-        while rows:
-            piv = rows.pop()
-            if piv == 0:
-                continue
-            rank += 1
-            high = piv.bit_length() - 1
-            rows = [r ^ piv if (r >> high) & 1 else r for r in rows]
-        return rank
-    m = (mat % p).astype(np.int64)
-    nrows, ncols = m.shape
-    rank = 0
-    row = 0
-    for col in range(ncols):
-        sel = None
-        for i in range(row, nrows):
-            if m[i, col]:
-                sel = i
-                break
-        if sel is None:
-            continue
-        m[[row, sel]] = m[[sel, row]]
-        inv = pow(int(m[row, col]), p - 2, p)
-        m[row] = m[row] * inv % p
-        mask = m[row + 1 :, col] != 0
-        if mask.any():
-            m[row + 1 :][mask] = (
-                m[row + 1 :][mask] - np.outer(m[row + 1 :, col][mask], m[row])
-            ) % p
-        rank += 1
-        row += 1
-        if row == nrows:
-            break
-    return rank
+    return len(row_reduce(_residues(mat, p), p))
 
 
 def _kernel_vector(mat: np.ndarray, p: int) -> Optional[np.ndarray]:
-    """One nonzero kernel vector of mat over F_p, or None if injective."""
-    m = (mat % p).astype(np.int64)
-    nrows, ncols = m.shape
-    pivots: Dict[int, int] = {}
-    row = 0
-    for col in range(ncols):
-        sel = None
-        for i in range(row, nrows):
-            if m[i, col]:
-                sel = i
-                break
-        if sel is None:
-            continue
-        m[[row, sel]] = m[[sel, row]]
-        inv = pow(int(m[row, col]), p - 2, p)
-        m[row] = m[row] * inv % p
-        for i in range(nrows):
-            if i != row and m[i, col]:
-                m[i] = (m[i] - m[i, col] * m[row]) % p
-        pivots[col] = row
-        row += 1
-        if row == nrows:
-            break
-    free = [c for c in range(ncols) if c not in pivots]
-    if not free:
+    """One nonzero kernel vector of mat over F_p, or None if injective.
+
+    The vector sets the first free column of the reduced matrix to 1 and
+    solves for the pivot columns.
+    """
+    m = _residues(mat, p)
+    pivots = row_reduce(m, p)
+    # Pivots increase, so the first free column is the first i with
+    # pivots[i] != i.
+    free = next((i for i, c in enumerate(pivots) if c != i), len(pivots))
+    if free == m.shape[1]:
         return None
-    c0 = free[0]
-    vec = np.zeros(ncols, dtype=np.int64)
-    vec[c0] = 1
-    for col, rw in pivots.items():
-        vec[col] = (-m[rw, c0]) % p
+    vec = np.zeros(m.shape[1], dtype=np.int64)
+    vec[free] = 1
+    vec[pivots] = -m[: len(pivots), free] % p
     return vec
 
 

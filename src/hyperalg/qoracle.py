@@ -310,7 +310,7 @@ class QOracle:
                     out.pop(key, None)
         return out
 
-    def reduce_mod_p(self, x: QElement, p: int, level: int, engine=None):
+    def reduce_mod_p(self, x: QElement, p: int, level: int):
         """Image in the F_p algebra at the given torus level.
 
         The torus tables are computed here from math.comb in int64, apart
@@ -319,10 +319,6 @@ class QOracle:
         """
         from .straighten import Engine, HPart, PBWElement
 
-        if engine is None:
-            engine = Engine(self.rs, p, sc=self.sc)
-        elif engine.p != p or engine.rs is not self.rs:
-            raise ValueError("engine prime/root-system mismatch")
         size = p**level
         rank = self.rs.rank
         tables: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], np.ndarray] = {}
@@ -353,4 +349,4 @@ class QOracle:
         terms = {
             key: HPart(tab, p, level) for key, tab in tables.items() if tab.any()
         }
-        return PBWElement(engine, level, terms)
+        return PBWElement(Engine(self.rs, p, sc=self.sc), level, terms)

@@ -19,6 +19,7 @@ import numpy as np
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .chevalley import StructureConstants
+from .linalg import row_reduce
 from .rootdata import Root, RootSystem, Weight
 
 _STEP_LIMIT = 50_000_000
@@ -217,12 +218,6 @@ class PBWElement:
                 return False
         return True
 
-    def support_e(self) -> List[Tuple[int, ...]]:
-        return sorted({b for (_, b) in self.terms})
-
-    def support_f(self) -> List[Tuple[int, ...]]:
-        return sorted({a for (a, _) in self.terms})
-
     def _compat(self, other: "PBWElement") -> None:
         if (
             self.engine.rs is not other.engine.rs
@@ -398,15 +393,11 @@ class Engine:
                 [[lucas_binom(m, n, self.p) for n in range(size)] for m in range(size)],
                 dtype=np.int64,
             )
-            # Unipotent lower-triangular matrix: invert by forward substitution.
-            inv = np.eye(size, dtype=np.int64)
-            for i in range(size):
-                for j in range(i):
-                    f = mat[i, j]
-                    if f:
-                        mat[i] = (mat[i] - f * mat[j]) % self.p
-                        inv[i] = (inv[i] - f * inv[j]) % self.p
-            cached = inv
+            # The matrix is unipotent lower triangular, so reducing
+            # [mat | I] leaves its inverse in the right half.
+            aug = np.concatenate([mat, np.eye(size, dtype=np.int64)], axis=1)
+            row_reduce(aug, self.p)
+            cached = np.ascontiguousarray(aug[:, size:])
             self._binom_lut[key] = cached
         return cached
 

@@ -106,12 +106,20 @@ def test_verify_requires_arguments(capsys):
 
 
 def test_parse_error_exit_code(capsys):
-    code, _ = run_cli(
-        capsys, "normalize", "e[9 9]^(1)", "--type", "A2", "--p", "2",
-        "--level", "1",
-    )
+    code = main(["normalize", "e[9 9]^(1)", "--type", "A2", "--p", "2",
+                 "--level", "1"])
+    captured = capsys.readouterr()
     assert code == 1
-    assert "error:" in capsys.readouterr().err or True
+    assert captured.err.startswith("error:")
+
+
+def test_verify_accepts_threads_flag(capsys):
+    code, out = run_cli(
+        capsys, "verify", "--statement", "Thm4.5-first", "--type", "A1",
+        "--p", "2", "--threads", "1",
+    )
+    assert code == 0
+    assert json.loads(out)["reports"][0]["bijective"] is True
 
 
 def test_fr_subcommand(capsys):

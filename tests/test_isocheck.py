@@ -118,7 +118,7 @@ def test_sabotage_detected_against_oracle():
     qo = QOracle(eng.rs)
     good = Engine(eng.rs, 3, sc=qo.sc)
     x = [((0, 1), 1), ((1, 0), 1)]
-    expect = qo.reduce_mod_p(qo.multiply_divided(x), 3, 1, engine=good)
+    expect = qo.reduce_mod_p(qo.multiply_divided(x), 3, 1)
     got = eng.multiply(
         eng.divided_power((0, 1), 1, 1), eng.divided_power((1, 0), 1, 1)
     )

@@ -71,7 +71,7 @@ def test_divided_power_reduction_roundtrip():
     qo = QOracle(rs)
     eng = Engine(rs, 3, sc=qo.sc)
     x = qo.multiply_divided([((1, 0), 2), ((0, 1), 1)])
-    red = qo.reduce_mod_p(x, 3, 2, engine=eng)
+    red = qo.reduce_mod_p(x, 3, 2)
     direct = eng.multiply(
         eng.divided_power((1, 0), 2, 2), eng.divided_power((0, 1), 1, 2)
     )

@@ -414,4 +414,4 @@ def test_largest_accepted_prime_matches_oracle():
         x = eng.multiply(eng.divided_power((1,), b, level), eng.divided_power((-1,), a, level))
         y = eng.multiply(eng.divided_power((1,), c, level), eng.divided_power((-1,), d, level))
         qprod = qo.multiply_divided([((1,), b), ((-1,), a), ((1,), c), ((-1,), d)])
-        assert eng.multiply(x, y).equals(qo.reduce_mod_p(qprod, p, level, engine=eng))
+        assert eng.multiply(x, y).equals(qo.reduce_mod_p(qprod, p, level))
