@@ -27,17 +27,22 @@ from .linalg import row_reduce
 from .rootdata import RootSystem, build_root_system
 from .straighten import Engine, PBWElement
 
-STATEMENTS = (
-    "Thm4.5-first",
-    "Thm4.5-second",
-    "Cor4.6-truncated",
-    "Prop5.1-first",
-    "Prop5.1-second",
-    "Thm5.5-first",
-    "Thm5.5-second",
-    "Borel-variant",
-    "Minus-variant",
-)
+# Statement -> the truncated subalgebra whose products its map takes.
+_STATEMENT_SPACE = {
+    "Thm4.5-first": "plus",
+    "Thm4.5-second": "plus",
+    "Cor4.6-truncated": "plus",
+    "Prop5.1-first": "zero",
+    "Prop5.1-second": "zero",
+    "Thm5.5-first": "full",
+    "Thm5.5-second": "full",
+    "Borel-variant": "borel",
+    "Minus-variant": "minus-borel",
+}
+STATEMENTS = tuple(_STATEMENT_SPACE)
+# Statements whose map multiplies r Frobenius images of depth-1 bases, so
+# that the target has depth r (the others: depth r + n).
+_ITERATED = frozenset({"Thm4.5-second", "Prop5.1-second", "Thm5.5-second"})
 
 
 @dataclass(frozen=True)
@@ -51,6 +56,8 @@ class MapSpec:
     def __post_init__(self):
         if self.statement not in STATEMENTS:
             raise ValueError(f"unknown statement {self.statement!r}")
+        if self.r < 1 or self.n < 1:
+            raise ValueError(f"depths r={self.r}, n={self.n} must be at least 1")
 
 
 @dataclass
@@ -254,21 +261,23 @@ class _TargetIndex:
             block.append(key)
         self.dim = len(keys) * self.hsize
 
-    def column(self, x: PBWElement, weight: Tuple[int, ...]) -> np.ndarray:
-        """Coordinates of a weight-homogeneous element in this block."""
-        block = self.rows_by_weight.get(weight, [])
-        col = np.zeros(len(block) * self.hsize, dtype=np.int64)
-        for key, h in x.terms.items():
-            if self.weight_of_key.get(key) != weight:
-                raise RuntimeError(
-                    f"term {key} falls outside its weight block {weight}"
-                )
-            base = self.key_offset[key] * self.hsize
-            if self.scalar_only:
-                col[base] = h.value((0,) * self.engine.rs.rank)
-            else:
-                col[base : base + self.hsize] = h.arr.ravel()
-        return col
+    def block(self, xs: Sequence[PBWElement], weight: Tuple[int, ...]) -> np.ndarray:
+        """Matrix of the coordinates of weight-homogeneous elements, one
+        column each, filled in place."""
+        rows = self.rows_by_weight.get(weight, [])
+        mat = np.zeros((len(rows) * self.hsize, len(xs)), dtype=np.int64)
+        for j, x in enumerate(xs):
+            for key, h in x.terms.items():
+                if self.weight_of_key.get(key) != weight:
+                    raise RuntimeError(
+                        f"term {key} falls outside its weight block {weight}"
+                    )
+                base = self.key_offset[key] * self.hsize
+                if self.scalar_only:
+                    mat[base, j] = h.value((0,) * self.engine.rs.rank)
+                else:
+                    mat[base : base + self.hsize, j] = h.arr.ravel()
+        return mat
 
 
 def _element_weight(engine: Engine, x: PBWElement) -> Tuple[int, ...]:
@@ -279,24 +288,11 @@ def _element_weight(engine: Engine, x: PBWElement) -> Tuple[int, ...]:
 
 
 def _build_columns(spec: MapSpec, engine: Engine, fro: Frobenius, level: int):
-    """Source labels, column elements, and source weights for a spec."""
-    st = spec.statement
+    """The map's columns as (source label, image element) pairs."""
     r, n = spec.r, spec.n
-    space = {
-        "Thm4.5-first": "plus",
-        "Thm4.5-second": "plus",
-        "Cor4.6-truncated": "plus",
-        "Prop5.1-first": "zero",
-        "Prop5.1-second": "zero",
-        "Thm5.5-first": "full",
-        "Thm5.5-second": "full",
-        "Borel-variant": "borel",
-        "Minus-variant": "minus-borel",
-    }[st]
-    iterated = st in ("Thm4.5-second", "Prop5.1-second", "Thm5.5-second")
+    space = _STATEMENT_SPACE[spec.statement]
     cols = []
-    if iterated:
-        depth = r
+    if spec.statement in _ITERATED:
         basis1 = enumerate_basis(engine, space, 1, level)
         images = [
             [(lab, fro.fr_prime(x, i)) for lab, x in basis1] for i in range(r)
@@ -310,7 +306,6 @@ def _build_columns(spec: MapSpec, engine: Engine, fro: Frobenius, level: int):
                 labels.append(f"Fr'^{i}({lab})")
             cols.append((" * ".join(labels), prod))
     else:
-        depth = r + n
         left = enumerate_basis(engine, space, r, level)
         right = enumerate_basis(engine, space, n, level)
         right_img = [(lab, fro.fr_prime(y, r)) for lab, y in right]
@@ -319,7 +314,7 @@ def _build_columns(spec: MapSpec, engine: Engine, fro: Frobenius, level: int):
                 cols.append(
                     (f"{lab_x} * Fr'^{r}({lab_y})", engine.multiply(x, img))
                 )
-    return space, depth, cols
+    return cols
 
 
 def _check_multiplicative(
@@ -378,20 +373,15 @@ def verify(
     """Certify one statement by exact blockwise rank computation."""
     t0 = time.monotonic()
     rs = build_root_system(spec.system)
-    iterated = spec.statement in (
-        "Thm4.5-second",
-        "Prop5.1-second",
-        "Thm5.5-second",
-    )
-    depth = spec.r if iterated else spec.r + spec.n
+    depth = spec.r if spec.statement in _ITERATED else spec.r + spec.n
     level = depth
     if engine is None:
         engine = Engine(rs, spec.p)
     fro = Frobenius(engine)
-    space, depth, cols = _build_columns(spec, engine, fro, level)
+    cols = _build_columns(spec, engine, fro, level)
     if len(cols) > column_cap:
         raise ValueError(f"{len(cols)} columns exceed the cap {column_cap}")
-    target = _TargetIndex(engine, space, depth, level)
+    target = _TargetIndex(engine, _STATEMENT_SPACE[spec.statement], depth, level)
     source_dim = len(cols)
     if source_dim != target.dim:
         raise RuntimeError(
@@ -406,7 +396,7 @@ def verify(
     witness = None
     for w in sorted(by_weight):
         entries = by_weight[w]
-        mat = np.stack([target.column(x, w) for _, x in entries], axis=1)
+        mat = target.block([x for _, x in entries], w)
         rk = rank_fp(mat, spec.p)
         blocks.append({"weight": list(w), "dim": len(entries), "rank": rk})
         total_rank += rk
@@ -418,6 +408,7 @@ def verify(
                     for j, c in enumerate(vec)
                     if c % spec.p
                 ]
+        del mat
     bijective = total_rank == source_dim
     multiplicative = None
     if spec.statement in ("Prop5.1-first", "Prop5.1-second"):

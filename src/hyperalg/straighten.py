@@ -6,8 +6,13 @@ divided-power monomials in convex order and H is a torus part.  Torus
 parts are kept as value tables on weight space modulo p^N (the level N
 must satisfy p^N > every Cartan binomial degree that can arise, which the
 engine checks).  Multiplication rewrites words of divided-power factors
-and torus parts with the rank-2 commutation patterns, the same-root
-merge rule, the raising/lowering collision rule, and torus-part shifts.
+and torus parts in one loop, `Engine.straighten_items`: an item is
+(slot, x) with lowering slots 0..nu-1, the torus slot nu and raising slots
+nu+1..2nu in convex order, and a word is normal when its slots strictly
+increase.  The loop applies torus merges, same-root merges, torus-part
+shifts, the raising/lowering collision rule and the rank-2 commutation
+patterns; one-sign words and the raising x lowering products of
+`multiply` are memoized adapters over it.
 """
 
 from __future__ import annotations
@@ -88,13 +93,17 @@ class HPart:
 
     @classmethod
     def ones(cls, p: int, level: int, rank: int) -> "HPart":
-        size = p**level
-        return cls(np.ones((size,) * rank, dtype=np.int16), p, level)
+        return cls(np.ones(cls._shape(p, level, rank), dtype=np.int16), p, level)
 
     @classmethod
     def zeros(cls, p: int, level: int, rank: int) -> "HPart":
-        size = p**level
-        return cls(np.zeros((size,) * rank, dtype=np.int16), p, level)
+        return cls(np.zeros(cls._shape(p, level, rank), dtype=np.int16), p, level)
+
+    @staticmethod
+    def _shape(p: int, level: int, rank: int) -> Tuple[int, ...]:
+        if level < 1:
+            raise ValueError(f"torus level {level} must be at least 1")
+        return (p**level,) * rank
 
     def copy(self) -> "HPart":
         return HPart(self.arr.copy(), self.p, self.level)
@@ -153,9 +162,9 @@ class HPart:
             raise ValueError("torus-part prime/level mismatch")
 
 
-# Word items used during straightening: ("g", root, exponent) for a
-# divided power, ("H", HPart) for a torus part.
-Item = Tuple
+# A word item during straightening: (slot, exponent or torus part), see
+# Engine.straighten_items.
+Item = Tuple[int, object]
 
 
 class PBWElement:
@@ -243,6 +252,10 @@ class Engine:
         self.nu = rs.num_positive
         self.convex_weights = [rs.weight_coords(b) for b in rs.convex_roots]
         self._root_weight = {g: rs.weight_coords(g) for g in rs.roots}
+        # Root of each word slot (see straighten_items), and the inverse.
+        self._slot_root = [tuple(-x for x in g) for g in rs.convex_roots]
+        self._slot_root += [None] + list(rs.convex_roots)
+        self._root_slot = {g: s for s, g in enumerate(self._slot_root) if g}
         self._reorder_cache: Dict = {}
         self._base_cache: Dict = {}
         self._signed_cache: Dict = {}
@@ -618,7 +631,113 @@ class Engine:
         self._reorder_cache[key] = out
         return out
 
-    # -- signed (pure raising or pure lowering) word straightening -------
+    # -- straightening -----------------------------------------------------
+
+    def straighten_items(self, word: Tuple[Item, ...], level: Optional[int]) -> Dict:
+        """Normal form of a word of divided powers and torus parts.
+
+        Items are (slot, x): slot k < nu is f^(x) of convex root k, slot nu
+        a torus part x, slot nu + 1 + k is e^(x) of convex root k.  A word
+        is normal when its slots strictly increase.  level is the torus
+        level of the tables a raising-lowering collision creates.  Returns
+        (a, b) -> the coefficient of f^(a) * e^(b): a scalar mod p for
+        normal words without a torus part, a table for words with one.
+        """
+        nu = self.nu
+        p = self.p
+        roots = self._slot_root
+        root_set = self.rs._root_set
+        out: Dict = {}
+        # (coefficient, word, index where the scan resumes); the pairs
+        # before that index are in order.
+        stack: List[Tuple[int, Tuple[Item, ...], int]] = [(1, word, 0)]
+        steps = 0
+        while stack:
+            steps += 1
+            if steps > _STEP_LIMIT:
+                raise RuntimeError("straightening step limit exceeded")
+            coeff, w, i = stack.pop()
+            last = len(w) - 1
+            while i < last and w[i][0] < w[i + 1][0]:
+                i += 1
+            if i >= last:
+                self._collect(out, w, coeff, level)
+                continue
+            (s1, x1), (s2, x2) = w[i], w[i + 1]
+            head, tail = w[:i], w[i + 2 :]
+            back = i - 1 if i else 0
+            if s1 == s2 == nu:
+                merged = x1.mul(x2)
+                if not merged.is_zero():
+                    stack.append((coeff, head + ((nu, merged),) + tail, back))
+            elif s1 == s2:
+                c = lucas_binom(x1 + x2, x2, p)
+                if c:
+                    stack.append((coeff * c % p, head + ((s1, x1 + x2),) + tail, back))
+            elif s1 == nu:
+                # Torus part passes a lowering factor to its right.
+                h = x1.shift(tuple(x2 * x for x in self._root_weight[roots[s2]]))
+                stack.append((coeff, head + ((s2, x2), (nu, h)) + tail, back))
+            elif s2 == nu:
+                # Raising factor passes a torus part to its right.
+                h = x2.shift(tuple(-x1 * x for x in self._root_weight[roots[s1]]))
+                stack.append((coeff, head + ((nu, h), (s1, x1)) + tail, back))
+            elif s1 - nu - 1 == s2:
+                # Raising-lowering collision on one root.
+                for k in range(min(x1, x2) + 1):
+                    mid: Tuple[Item, ...] = ((s2, x2 - k),) if x2 - k else ()
+                    if k:
+                        h = self.binom_h_root(roots[s1], -x1 - x2 + 2 * k, k, level)
+                        mid += ((nu, h),)
+                    if x1 - k:
+                        mid += ((s1, x1 - k),)
+                    stack.append((coeff, head + mid + tail, back))
+            else:
+                g1, g2 = roots[s1], roots[s2]
+                if tuple(u + v for u, v in zip(g1, g2)) not in root_set:
+                    stack.append((coeff, head + ((s2, x2), (s1, x1)) + tail, back))
+                else:
+                    slot_of = self._root_slot
+                    for c, frag in self.reorder_pair(g1, x1, g2, x2):
+                        mid = tuple((slot_of[rho], e) for rho, e in frag)
+                        stack.append((coeff * c % p, head + mid + tail, back))
+        return out
+
+    def _collect(
+        self, out: Dict, w: Tuple[Item, ...], coeff: int, level: Optional[int]
+    ) -> None:
+        """Add coeff times the normal word w to out."""
+        nu = self.nu
+        a = [0] * nu
+        b = [0] * nu
+        value = coeff
+        for s, x in w:
+            if s < nu:
+                a[s] = x
+            elif s > nu:
+                b[s - nu - 1] = x
+            else:
+                value = x.scale(coeff)
+                if value.is_zero():
+                    return
+        key = (tuple(a), tuple(b))
+        old = out.get(key)
+        if old is None:
+            out[key] = value
+            return
+        if isinstance(old, HPart) or isinstance(value, HPart):
+            merged = self._as_table(old, level).add(self._as_table(value, level))
+            zero = merged.is_zero()
+        else:
+            merged = (old + value) % self.p
+            zero = not merged
+        if zero:
+            del out[key]
+        else:
+            out[key] = merged
+
+    def _as_table(self, value, level: int) -> HPart:
+        return value if isinstance(value, HPart) else self.hpart_one(level).scale(value)
 
     def straighten_signed(
         self, word: Tuple[Tuple[int, int], ...], sign: int
@@ -628,66 +747,17 @@ class Engine:
         word is a tuple of (convex index, exponent); sign +1 means raising
         block, -1 lowering.  Returns exponent-vector -> scalar mod p.
         """
-        key = (word, sign)
-        cached = self._signed_cache.get(key)
+        memo_key = (word, sign)
+        cached = self._signed_cache.get(memo_key)
         if cached is not None:
             return cached
-        rs = self.rs
-        out: Dict[Tuple[int, ...], int] = {}
-        stack: List[Tuple[int, Tuple[Tuple[int, int], ...]]] = [(1, word)]
-        steps = 0
-        while stack:
-            steps += 1
-            if steps > _STEP_LIMIT:
-                raise RuntimeError("straightening step limit exceeded")
-            coeff, w = stack.pop()
-            i = 0
-            clean = True
-            while i < len(w) - 1:
-                (i1, e1), (i2, e2) = w[i], w[i + 1]
-                if i1 == i2:
-                    c = lucas_binom(e1 + e2, e2, self.p)
-                    clean = False
-                    if c:
-                        neww = w[:i] + ((i1, e1 + e2),) + w[i + 2 :]
-                        stack.append((coeff * c % self.p, neww))
-                    break
-                if i1 > i2:
-                    clean = False
-                    g1 = rs.convex_roots[i1]
-                    g2 = rs.convex_roots[i2]
-                    if sign < 0:
-                        g1 = tuple(-x for x in g1)
-                        g2 = tuple(-x for x in g2)
-                    total = tuple(u + v for u, v in zip(g1, g2))
-                    if total not in rs._root_set:
-                        neww = w[:i] + ((i2, e2), (i1, e1)) + w[i + 2 :]
-                        stack.append((coeff, neww))
-                    else:
-                        for c, frag in self.reorder_pair(g1, e1, g2, e2):
-                            items = tuple(
-                                (
-                                    rs.convex_index(
-                                        rho if sign > 0 else tuple(-x for x in rho)
-                                    ),
-                                    e,
-                                )
-                                for rho, e in frag
-                            )
-                            stack.append((coeff * c % self.p, w[:i] + items + w[i + 2 :]))
-                    break
-                i += 1
-            if clean:
-                vec = [0] * self.nu
-                for idx, e in w:
-                    vec[idx] += e
-                keyv = tuple(vec)
-                newc = (out.get(keyv, 0) + coeff) % self.p
-                if newc:
-                    out[keyv] = newc
-                else:
-                    out.pop(keyv, None)
-        self._signed_cache[key] = out
+        if sign > 0:
+            word = tuple((self.nu + 1 + k, n) for k, n in word)
+        out = {
+            (b if sign > 0 else a): c
+            for (a, b), c in self.straighten_items(word, None).items()
+        }
+        self._signed_cache[memo_key] = out
         return out
 
     def mul_signed(
@@ -706,163 +776,25 @@ class Engine:
             out = by_y[y] = self.straighten_signed(word, sign)
         return out
 
-    # -- the mixed-word straightener ------------------------------------
-
-    def _item_class(self, item: Item) -> Tuple[int, int]:
-        if item[0] == "H":
-            return (1, 0)
-        root = item[1]
-        if self.rs._is_positive(root):
-            return (2, self.rs.convex_index(root))
-        return (0, self.rs.convex_index(tuple(-x for x in root)))
-
-    def straighten_items(
-        self,
-        items: Sequence[Item],
-        level: int,
-        out_terms: Dict,
-        coeff: int = 1,
-    ) -> None:
-        """Straighten a word of divided powers and torus parts into out_terms."""
-        rs = self.rs
-        p = self.p
-        stack: List[Tuple[int, List[Item]]] = [(coeff % p, list(items))]
-        steps = 0
-        while stack:
-            steps += 1
-            if steps > _STEP_LIMIT:
-                raise RuntimeError("straightening step limit exceeded")
-            coeff, w = stack.pop()
-            if coeff == 0:
-                continue
-            i = 0
-            clean = True
-            while i < len(w) - 1:
-                u, v = w[i], w[i + 1]
-                cu, cv = self._item_class(u), self._item_class(v)
-                if u[0] == "H" and v[0] == "H":
-                    merged = u[1].mul(v[1])
-                    clean = False
-                    if not merged.is_zero():
-                        stack.append((coeff, w[:i] + [("H", merged)] + w[i + 2 :]))
-                    break
-                if u[0] == "H" and v[0] == "g" and cv[0] == 0:
-                    # Torus part passes a lowering factor to its right.
-                    root, m = v[1], v[2]
-                    wshift = tuple(m * x for x in self._root_weight[root])
-                    clean = False
-                    stack.append(
-                        (coeff, w[:i] + [v, ("H", u[1].shift(wshift))] + w[i + 2 :])
-                    )
-                    break
-                if u[0] == "g" and cu[0] == 2 and v[0] == "H":
-                    # Raising factor passes a torus part to its right.
-                    root, m = u[1], u[2]
-                    wshift = tuple(-m * x for x in self._root_weight[root])
-                    clean = False
-                    stack.append(
-                        (coeff, w[:i] + [("H", v[1].shift(wshift)), u] + w[i + 2 :])
-                    )
-                    break
-                if u[0] == "g" and v[0] == "g":
-                    g1, e1 = u[1], u[2]
-                    g2, e2 = v[1], v[2]
-                    if g1 == g2:
-                        c = lucas_binom(e1 + e2, e2, p)
-                        clean = False
-                        if c:
-                            stack.append(
-                                (
-                                    coeff * c % p,
-                                    w[:i] + [("g", g1, e1 + e2)] + w[i + 2 :],
-                                )
-                            )
-                        break
-                    if cu > cv:
-                        clean = False
-                        neg_g1 = tuple(-x for x in g1)
-                        if g2 == neg_g1:
-                            # Raising-lowering collision on one root.
-                            frag_base = w[:i]
-                            tail = w[i + 2 :]
-                            for k in range(min(e1, e2) + 1):
-                                h = (
-                                    None
-                                    if k == 0
-                                    else self.binom_h_root(
-                                        g1, -e1 - e2 + 2 * k, k, level
-                                    )
-                                )
-                                mid: List[Item] = []
-                                if e2 - k:
-                                    mid.append(("g", g2, e2 - k))
-                                if k:
-                                    mid.append(("H", h))
-                                if e1 - k:
-                                    mid.append(("g", g1, e1 - k))
-                                stack.append((coeff, frag_base + mid + tail))
-                            break
-                        total = tuple(x + y for x, y in zip(g1, g2))
-                        if total not in rs._root_set:
-                            stack.append((coeff, w[:i] + [v, u] + w[i + 2 :]))
-                        else:
-                            for c, frag in self.reorder_pair(g1, e1, g2, e2):
-                                mid = [("g", rho, e) for rho, e in frag]
-                                stack.append(
-                                    (coeff * c % p, w[:i] + mid + w[i + 2 :])
-                                )
-                        break
-                i += 1
-            if clean:
-                a = [0] * self.nu
-                b = [0] * self.nu
-                h: Optional[HPart] = None
-                for item in w:
-                    if item[0] == "H":
-                        h = item[1] if h is None else h.mul(item[1])
-                    else:
-                        root, e = item[1], item[2]
-                        if rs._is_positive(root):
-                            b[rs.convex_index(root)] += e
-                        else:
-                            a[rs.convex_index(tuple(-x for x in root))] += e
-                if h is None:
-                    h = self.hpart_one(level)
-                h = h.scale(coeff)
-                if h.is_zero():
-                    continue
-                key = (tuple(a), tuple(b))
-                if key in out_terms:
-                    merged = out_terms[key].add(h)
-                    if merged.is_zero():
-                        del out_terms[key]
-                    else:
-                        out_terms[key] = merged
-                else:
-                    out_terms[key] = h
-
     # -- the cross product of raising and lowering blocks ----------------
 
     def _middle(
         self, b1: Tuple[int, ...], a2: Tuple[int, ...], level: int
     ) -> List[Tuple[Tuple[int, ...], Tuple[int, ...], HPart]]:
         """Normal form of e^(b1) * f^(a2) as (a, b, torus part) triples."""
-        key = (b1, a2, level)
-        cached = self._mid_cache.get(key)
+        memo_key = (b1, a2, level)
+        cached = self._mid_cache.get(memo_key)
         if cached is not None:
             return cached
-        items: List[Item] = [
-            ("g", self.rs.convex_roots[k], n) for k, n in enumerate(b1) if n
+        nu = self.nu
+        word = tuple((nu + 1 + k, n) for k, n in enumerate(b1) if n) + tuple(
+            (k, n) for k, n in enumerate(a2) if n
+        )
+        result = [
+            (a, b, self._as_table(value, level))
+            for (a, b), value in self.straighten_items(word, level).items()
         ]
-        items += [
-            ("g", tuple(-x for x in self.rs.convex_roots[k]), n)
-            for k, n in enumerate(a2)
-            if n
-        ]
-        terms: Dict = {}
-        self.straighten_items(items, level, terms)
-        result = [(a, b, h) for (a, b), h in terms.items()]
-        self._mid_cache[key] = result
+        self._mid_cache[memo_key] = result
         return result
 
     def multiply(self, x: PBWElement, y: PBWElement) -> PBWElement:

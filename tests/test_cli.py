@@ -157,3 +157,20 @@ def test_mul_rejects_unsupported_prime(capsys, p):
     assert code == 1
     assert captured.out == ""
     assert captured.err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["mul", "e[1]^(1)", "f[1]^(1)", "--p", "2", "--level", "-1"],
+        ["mul", "e[1]^(1)", "f[1]^(1)", "--p", "2", "--level", "0"],
+        ["verify", "--statement", "Thm4.5-first", "--type", "A1", "--p", "2", "--r", "-1"],
+        ["verify", "--statement", "Thm4.5-first", "--type", "A1", "--p", "2", "--n", "0"],
+    ],
+)
+def test_rejects_out_of_range_level_and_depth(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
