@@ -747,8 +747,8 @@ class Engine:
         word is a tuple of (convex index, exponent); sign +1 means raising
         block, -1 lowering.  Returns exponent-vector -> scalar mod p.
         """
-        memo_key = (word, sign)
-        cached = self._signed_cache.get(memo_key)
+        key = (word, sign)
+        cached = self._signed_cache.get(key)
         if cached is not None:
             return cached
         if sign > 0:
@@ -757,7 +757,7 @@ class Engine:
             (b if sign > 0 else a): c
             for (a, b), c in self.straighten_items(word, None).items()
         }
-        self._signed_cache[memo_key] = out
+        self._signed_cache[key] = out
         return out
 
     def mul_signed(
@@ -782,8 +782,8 @@ class Engine:
         self, b1: Tuple[int, ...], a2: Tuple[int, ...], level: int
     ) -> List[Tuple[Tuple[int, ...], Tuple[int, ...], HPart]]:
         """Normal form of e^(b1) * f^(a2) as (a, b, torus part) triples."""
-        memo_key = (b1, a2, level)
-        cached = self._mid_cache.get(memo_key)
+        key = (b1, a2, level)
+        cached = self._mid_cache.get(key)
         if cached is not None:
             return cached
         nu = self.nu
@@ -794,7 +794,7 @@ class Engine:
             (a, b, self._as_table(value, level))
             for (a, b), value in self.straighten_items(word, level).items()
         ]
-        self._mid_cache[memo_key] = result
+        self._mid_cache[key] = result
         return result
 
     def multiply(self, x: PBWElement, y: PBWElement) -> PBWElement:
