@@ -2,11 +2,23 @@
 
 Each supported statement names a multiplication map from a tensor product
 of truncated subalgebras into a larger truncation.  The harness
-materializes the map column by column on explicit bases, splits it into
+materializes the map's columns on explicit bases, splits them into
 independent blocks along the weight grading (multiplication adds
 weights), computes exact ranks over F_p with `linalg.row_reduce`, and
 reports bijectivity; the first rank-deficient block also gets a kernel
 witness, read off its reduced form.
+
+Columns are built in batches.  A non-iterated map sends x (x) y to
+x * Fr'^r(y), and basis elements f^(a) mu(lam) e^(b) that share their
+monomial key (a, b) differ only in their torus table.  The product is
+linear in each table, so `_build_columns` stacks the tables of one key
+along a batch axis, (L, 1) on the left and (1, L') on the Frobenius
+images on the right, and one `Engine.multiply` per pair of keys gives all
+L * L' columns of the pair: column [s, t] is slice [s, t] of every table
+of the product.  Keys held by one basis element (the raising and lowering
+spaces) and the iterated statements keep plain tables, one product per
+column.  `_TargetIndex.split` then cuts each product's slices into weight
+blocks, and `_TargetIndex.block` writes a block's matrix from them.
 """
 
 from __future__ import annotations
@@ -25,7 +37,7 @@ from .frobenius import Frobenius
 from .idempotents import enumerate_Xm, mu_hpart
 from .linalg import row_reduce
 from .rootdata import RootSystem, build_root_system
-from .straighten import Engine, PBWElement
+from .straighten import Engine, HPart, PBWElement
 
 # Statement -> the truncated subalgebra whose products its map takes.
 _STATEMENT_SPACE = {
@@ -43,6 +55,16 @@ STATEMENTS = tuple(_STATEMENT_SPACE)
 # Statements whose map multiplies r Frobenius images of depth-1 bases, so
 # that the target has depth r (the others: depth r + n).
 _ITERATED = frozenset({"Thm4.5-second", "Prop5.1-second", "Thm5.5-second"})
+# Space -> (exponent vectors over the positive roots, over the simple
+# coroots) that index its basis; each ranges over p^depth values per entry.
+_BASIS_EXPONENTS = {
+    "plus": (1, 0),
+    "minus": (1, 0),
+    "zero": (0, 1),
+    "borel": (1, 1),
+    "minus-borel": (1, 1),
+    "full": (2, 1),
+}
 
 
 @dataclass(frozen=True)
@@ -162,6 +184,12 @@ def enumerate_basis(
     return out
 
 
+def basis_size(engine: Engine, space: str, depth: int) -> int:
+    """len(enumerate_basis(engine, space, depth, level)), without building it."""
+    roots, coroots = _BASIS_EXPONENTS[space]
+    return engine.p ** (depth * (roots * engine.nu + coroots * engine.rs.rank))
+
+
 def _mono_label(rs: RootSystem, a: Sequence[int], b: Sequence[int], mu) -> str:
     parts = []
     for k, n in enumerate(a):
@@ -223,8 +251,6 @@ class _TargetIndex:
 
     def __init__(self, engine: Engine, space: str, depth: int, level: int):
         self.engine = engine
-        self.space = space
-        self.level = level
         p = engine.p
         nu = engine.nu
         zero_nu = (0,) * nu
@@ -248,8 +274,7 @@ class _TargetIndex:
             raise ValueError(space)
         # Pure-sign spaces carry a scalar per monomial; the rest carry a
         # full torus table per monomial.
-        self.scalar_only = space in ("plus", "minus")
-        self.hsize = 1 if self.scalar_only else (p**level) ** engine.rs.rank
+        self.hsize = 1 if space in ("plus", "minus") else (p**level) ** engine.rs.rank
         self.key_offset: Dict = {}
         self.weight_of_key: Dict = {}
         self.rows_by_weight: Dict[Tuple[int, ...], List] = {}
@@ -261,37 +286,124 @@ class _TargetIndex:
             block.append(key)
         self.dim = len(keys) * self.hsize
 
-    def block(self, xs: Sequence[PBWElement], weight: Tuple[int, ...]) -> np.ndarray:
-        """Matrix of the coordinates of weight-homogeneous elements, one
-        column each, filled in place."""
+    def split(self, parts: List) -> Dict[Tuple[int, ...], List]:
+        """Cut `_build_columns` products into weight blocks, emptying the
+        list parts as it goes, so that each product is freed once cut.
+
+        Returns weight -> pieces (column numbers, keys, tables): tables has
+        shape (len(keys), len(column numbers), hsize) and holds, for each
+        key of that weight, the coordinates of its table in each of the
+        piece's columns; a term that is zero in all of them is left out.
+        A column whose terms have more than one weight raises ValueError,
+        and a zero column goes to the zero weight.
+        """
+        weight_of = self.weight_of_key.get
+        term_weight = self.engine.term_weight
+        zero = (0,) * self.engine.rs.rank
+        out: Dict[Tuple[int, ...], List] = {}
+        while parts:
+            cols, prod = parts.pop()
+            cols = np.ravel(cols)
+            terms = prod.terms
+            if not terms:
+                out.setdefault(zero, []).append((cols, [], None))
+                continue
+            keys = list(terms)
+            weights = [weight_of(key) or term_weight(key) for key in keys]
+            full = np.concatenate(
+                [h.arr.reshape(1, cols.size, -1) for h in terms.values()]
+            )
+            live = full.any(axis=2)
+            # Scalar-only spaces read each (constant) table at weight 0; the
+            # copy lets the full tables go.
+            tables = full[:, :, : self.hsize].copy()
+            if weights.count(weights[0]) == len(weights) and live.all():
+                # The common case: one weight, every term nonzero in every column.
+                out.setdefault(weights[0], []).append((cols, keys, tables))
+                continue
+            by_weight: Dict[Tuple[int, ...], List[int]] = {}
+            for i, w in enumerate(weights):
+                by_weight.setdefault(w, []).append(i)
+            masks = [live[idx].any(axis=0) for idx in by_weight.values()]
+            if len(masks) > 1 and (np.sum(masks, axis=0) > 1).any():
+                raise ValueError("element is not weight-homogeneous")
+            for (w, idx), mask in zip(by_weight.items(), masks):
+                if mask.any():
+                    idx = [i for i, k in zip(idx, live[idx][:, mask].any(axis=1)) if k]
+                    piece = (cols[mask], [keys[i] for i in idx], tables[idx][:, mask])
+                    out.setdefault(w, []).append(piece)
+            empty = ~np.any(masks, axis=0)
+            if empty.any():
+                out.setdefault(zero, []).append((cols[empty], [], None))
+        return out
+
+    def block(
+        self, pieces: Sequence, weight: Tuple[int, ...]
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Matrix of one weight block from its `split` pieces,
+        filled in place, and the column numbers of its columns, which are
+        in increasing order."""
+        cols = np.concatenate([c for c, _, _ in pieces])
+        order = np.argsort(cols)
+        at = np.empty_like(order)
+        at[order] = np.arange(len(cols))
         rows = self.rows_by_weight.get(weight, [])
-        mat = np.zeros((len(rows) * self.hsize, len(xs)), dtype=np.int64)
-        for j, x in enumerate(xs):
-            for key, h in x.terms.items():
+        mat = np.zeros((len(rows) * self.hsize, len(cols)), dtype=np.int64)
+        span = np.arange(self.hsize)
+        start = 0
+        for piece_cols, keys, tables in pieces:
+            piece_at = at[start : start + len(piece_cols)]
+            start += len(piece_cols)
+            if not keys:
+                continue
+            bases = []
+            for key in keys:
                 if self.weight_of_key.get(key) != weight:
                     raise RuntimeError(
                         f"term {key} falls outside its weight block {weight}"
                     )
-                base = self.key_offset[key] * self.hsize
-                if self.scalar_only:
-                    mat[base, j] = h.value((0,) * self.engine.rs.rank)
-                else:
-                    mat[base : base + self.hsize, j] = h.arr.ravel()
-        return mat
+                bases.append(self.key_offset[key] * self.hsize)
+            rows_at = (np.array(bases)[:, None] + span)[:, :, None]
+            mat[rows_at, piece_at] = tables.transpose(0, 2, 1)
+        return mat, cols[order]
 
 
-def _element_weight(engine: Engine, x: PBWElement) -> Tuple[int, ...]:
-    weights = {x.weight_of_term(k) for k in x.terms}
-    if len(weights) > 1:
-        raise ValueError("element is not weight-homogeneous")
-    return weights.pop() if weights else (0,) * engine.rs.rank
+def _basis_groups(basis: Sequence[Tuple[str, PBWElement]]) -> List[List[int]]:
+    """Positions of the basis elements, grouped by monomial key."""
+    groups: Dict = {}
+    for i, (_, x) in enumerate(basis):
+        groups.setdefault(tuple(x.terms), []).append(i)
+    return list(groups.values())
+
+
+def _stack(engine: Engine, xs: Sequence[PBWElement], batch: Tuple[int, ...]) -> PBWElement:
+    """One element whose tables hold those of xs along batch axes of the
+    given shape, a zero table standing in for a key that an x lacks."""
+    if not batch:
+        return xs[0]
+    level = xs[0].level
+    side = (engine.p**level,) * engine.rs.rank
+    zero = np.zeros(side, dtype=np.int16)
+    terms = {}
+    for key in dict.fromkeys(k for x in xs for k in x.terms):
+        arrs = [x.terms[key].arr if key in x.terms else zero for x in xs]
+        terms[key] = HPart(np.stack(arrs).reshape(batch + side), engine.p, level)
+    return PBWElement(engine, level, terms)
 
 
 def _build_columns(spec: MapSpec, engine: Engine, fro: Frobenius, level: int):
-    """The map's columns as (source label, image element) pairs."""
+    """The map's columns, as (labels, parts).
+
+    labels are the source labels in column order.  Each part is (cols,
+    product): either cols is an array and column cols[s, t] is slice
+    [s, t] of every torus table of the product, which carries cols.shape
+    as leading batch axes, or cols is a column number and the product is
+    that column, with plain tables.
+    """
     r, n = spec.r, spec.n
     space = _STATEMENT_SPACE[spec.statement]
-    cols = []
+    labels: List[str] = []
+    parts = []
     if spec.statement in _ITERATED:
         basis1 = enumerate_basis(engine, space, 1, level)
         images = [
@@ -299,22 +411,34 @@ def _build_columns(spec: MapSpec, engine: Engine, fro: Frobenius, level: int):
         ]
         for combo in iproduct(*[range(len(basis1)) for _ in range(r)]):
             prod = engine.one(level)
-            labels = []
+            names = []
             for i, j in enumerate(combo):
                 lab, img = images[i][j]
                 prod = engine.multiply(prod, img)
-                labels.append(f"Fr'^{i}({lab})")
-            cols.append((" * ".join(labels), prod))
-    else:
-        left = enumerate_basis(engine, space, r, level)
-        right = enumerate_basis(engine, space, n, level)
-        right_img = [(lab, fro.fr_prime(y, r)) for lab, y in right]
-        for lab_x, x in left:
-            for lab_y, img in right_img:
-                cols.append(
-                    (f"{lab_x} * Fr'^{r}({lab_y})", engine.multiply(x, img))
-                )
-    return cols
+                names.append(f"Fr'^{i}({lab})")
+            parts.append((len(labels), prod))
+            labels.append(" * ".join(names))
+        return labels, parts
+    left = enumerate_basis(engine, space, r, level)
+    right = enumerate_basis(engine, space, n, level)
+    labels = [f"{lx} * Fr'^{r}({ly})" for lx, _ in left for ly, _ in right]
+    left_groups = _basis_groups(left)
+    right_groups = _basis_groups(right)
+    batched = max(map(len, left_groups + right_groups)) > 1
+    right_img = []
+    for group in right_groups:
+        imgs = [fro.fr_prime(right[j][1], r) for j in group]
+        right_img.append((group, _stack(engine, imgs, (1, len(group)) if batched else ())))
+    for group in left_groups:
+        xs = [left[i][1] for i in group]
+        xs = _stack(engine, xs, (len(group), 1) if batched else ())
+        for right_group, ys in right_img:
+            if batched:
+                cols = np.add.outer(np.multiply(group, len(right)), right_group)
+            else:
+                cols = group[0] * len(right) + right_group[0]
+            parts.append((cols, engine.multiply(xs, ys)))
+    return labels, parts
 
 
 def _check_multiplicative(
@@ -377,34 +501,35 @@ def verify(
     level = depth
     if engine is None:
         engine = Engine(rs, spec.p)
+    space = _STATEMENT_SPACE[spec.statement]
+    if spec.statement in _ITERATED:
+        count = basis_size(engine, space, 1) ** spec.r
+    else:
+        count = basis_size(engine, space, spec.r) * basis_size(engine, space, spec.n)
+    if count > column_cap:
+        raise ValueError(f"{count} columns exceed the cap {column_cap}")
     fro = Frobenius(engine)
-    cols = _build_columns(spec, engine, fro, level)
-    if len(cols) > column_cap:
-        raise ValueError(f"{len(cols)} columns exceed the cap {column_cap}")
-    target = _TargetIndex(engine, _STATEMENT_SPACE[spec.statement], depth, level)
-    source_dim = len(cols)
+    labels, parts = _build_columns(spec, engine, fro, level)
+    target = _TargetIndex(engine, space, depth, level)
+    source_dim = len(labels)
     if source_dim != target.dim:
         raise RuntimeError(
             f"source dimension {source_dim} differs from target {target.dim}"
         )
-    by_weight: Dict[Tuple[int, ...], List] = {}
-    for label, x in cols:
-        w = _element_weight(engine, x)
-        by_weight.setdefault(w, []).append((label, x))
+    pieces = target.split(parts)
     total_rank = 0
     blocks = []
     witness = None
-    for w in sorted(by_weight):
-        entries = by_weight[w]
-        mat = target.block([x for _, x in entries], w)
+    for w in sorted(pieces):
+        mat, cols = target.block(pieces[w], w)
         rk = rank_fp(mat, spec.p)
-        blocks.append({"weight": list(w), "dim": len(entries), "rank": rk})
+        blocks.append({"weight": list(w), "dim": len(cols), "rank": rk})
         total_rank += rk
-        if rk < len(entries) and witness is None:
+        if rk < len(cols) and witness is None:
             vec = _kernel_vector(mat, spec.p)
             if vec is not None:
                 witness = [
-                    (int(c), entries[j][0])
+                    (int(c), labels[cols[j]])
                     for j, c in enumerate(vec)
                     if c % spec.p
                 ]

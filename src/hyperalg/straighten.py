@@ -81,8 +81,30 @@ def _shift_index(size: int, rank: int, w: Tuple[int, ...]) -> Optional[np.ndarra
     return flat
 
 
+# (table side, rank, coroot coefficients, c mod side) -> index into a
+# binomial lookup table: entry lam of the index is <lam, coroot> + c mod
+# side.  Shared by all engines, like _SHIFT_INDEX.
+_ROOT_INDEX: Dict[Tuple[int, int, Tuple[int, ...], int], np.ndarray] = {}
+
+
+def _root_index(size: int, rank: int, coeffs: Tuple[int, ...], c: int) -> np.ndarray:
+    grids = np.indices((size,) * rank)
+    idx = np.full((size,) * rank, c, dtype=np.int64)
+    for i, d in enumerate(coeffs):
+        if d:
+            idx = idx + d * grids[i]
+    return idx % size
+
+
 class HPart:
-    """Torus part as an F_p value table on weights modulo p^level."""
+    """Torus part as an F_p value table on weights modulo p^level.
+
+    The table's trailing rank axes are the weight axes.  Leading axes, if
+    any, are batch axes holding several tables at once: shift, mul, scale
+    and add act on each batch entry alike (mul and add broadcast), and the
+    part is zero only when every entry is.  value and is_periodic take
+    tables without batch axes.
+    """
 
     __slots__ = ("arr", "p", "level")
 
@@ -130,17 +152,21 @@ class HPart:
         return HPart((self.arr * (scalar % self.p)) % self.p, self.p, self.level)
 
     def shift(self, w: Weight) -> "HPart":
-        """Table for lam -> value at lam + w."""
+        """Table for lam -> value at lam + w, on each batch entry."""
         arr = self.arr
-        size = arr.shape[0]
-        key = (size, arr.ndim, tuple(wi % size for wi in w))
+        rank = len(w)
+        size = arr.shape[-1]
+        key = (size, rank, tuple(wi % size for wi in w))
         try:
             idx = _SHIFT_INDEX[key]
         except KeyError:
             idx = _SHIFT_INDEX[key] = _shift_index(*key)
         if idx is None:
             return HPart(arr, self.p, self.level)
-        return HPart(arr.take(idx), self.p, self.level)
+        if arr.ndim == rank:
+            return HPart(arr.take(idx), self.p, self.level)
+        flat = arr.reshape(arr.shape[:-rank] + (-1,))
+        return HPart(flat.take(idx, axis=-1), self.p, self.level)
 
     def is_periodic(self, r: int) -> bool:
         """True when the table depends only on the weight modulo p^r."""
@@ -358,15 +384,11 @@ class Engine:
                 f"binomial degree {n} needs level above {level}"
             )
         size = self.p**level
-        coeffs = self.sc.coroot_coeffs(gamma)
-        grids = np.indices((size,) * self.rs.rank)
-        idx = np.full((size,) * self.rs.rank, c % size, dtype=np.int64)
-        for i, d in enumerate(coeffs):
-            if d:
-                idx = idx + d * grids[i]
-        idx %= size
-        arr = self._lut(n, level)[idx].astype(np.int16)
-        return HPart(arr, self.p, level)
+        key = (size, self.rs.rank, tuple(self.sc.coroot_coeffs(gamma)), c % size)
+        idx = _ROOT_INDEX.get(key)
+        if idx is None:
+            idx = _ROOT_INDEX[key] = _root_index(*key)
+        return HPart(self._lut(n, level)[idx], self.p, level)
 
     def hpart_from_binomial_basis(
         self, coeffs: Dict[Tuple[int, ...], int], level: int
@@ -798,6 +820,12 @@ class Engine:
         return result
 
     def multiply(self, x: PBWElement, y: PBWElement) -> PBWElement:
+        """Normal form of x * y.
+
+        Torus tables may carry batch axes (see HPart): with x batched
+        (L, 1) and y batched (1, L'), entry [s, t] of every product table
+        belongs to the product of entry s of x with entry t of y.
+        """
         x._compat(y)
         level = x.level
         out: Dict = {}

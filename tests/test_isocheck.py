@@ -1,14 +1,19 @@
 """Rank harness: exact linear algebra, bases, certification reports."""
 
 import json
+import random
 
 import numpy as np
 import pytest
 
+from hyperalg.frobenius import Frobenius
 from hyperalg.isocheck import (
     DESK_SPECS,
     STATEMENTS,
     MapSpec,
+    _build_columns,
+    _TargetIndex,
+    basis_size,
     enumerate_basis,
     rank_fp,
     sabotaged_engine,
@@ -16,7 +21,7 @@ from hyperalg.isocheck import (
 )
 from hyperalg.qoracle import QOracle
 from hyperalg.rootdata import build_root_system
-from hyperalg.straighten import Engine
+from hyperalg.straighten import Engine, HPart, PBWElement
 
 
 def test_rank_fp_basics():
@@ -96,9 +101,16 @@ def test_verify_iterated_statement():
     assert rep.source_dim == 2**2
 
 
-def test_column_cap_enforced():
-    with pytest.raises(ValueError):
-        verify(MapSpec("Thm4.5-first", "G2", 2, 1, 1), column_cap=16)
+def test_column_cap_enforced(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("multiply called although the cap refuses")
+
+    monkeypatch.setattr(Engine, "multiply", refuse)
+    for spec in (MapSpec("Thm4.5-first", "G2", 2, 1, 1),
+                 MapSpec("Thm5.5-first", "A2", 2, 1, 1),
+                 MapSpec("Thm4.5-second", "A2", 2, 3)):
+        with pytest.raises(ValueError, match="exceed the cap 16"):
+            verify(spec, column_cap=16)
 
 
 def test_borel_and_minus_variants_small():
@@ -165,3 +177,208 @@ def test_rank_fp_p2_matches_reference():
             assert rank_fp(m, 2) == _reference_rank_mod2(m), (nrows, ncols)
             # odd entries count as ones, even ones as zeros
             assert rank_fp(3 * m + 2, 2) == _reference_rank_mod2(m)
+
+
+# -- batched column building -----------------------------------------------
+
+_NON_ITERATED = {
+    "Thm4.5-first": "plus",
+    "Prop5.1-first": "zero",
+    "Borel-variant": "borel",
+    "Minus-variant": "minus-borel",
+    "Thm5.5-first": "full",
+}
+
+
+def _split_columns(labels, parts):
+    """Every column of a `_build_columns` result as its own element:
+    {key: table}, keeping only the keys whose table is nonzero."""
+    cols = [None] * len(labels)
+    for idx, prod in parts:
+        flat = np.ravel(idx)
+        for s, col in enumerate(flat):
+            terms = {}
+            for key, h in prod.terms.items():
+                side = h.arr.shape[np.ndim(idx):]
+                table = h.arr.reshape((flat.size,) + side)[s]
+                if table.any():
+                    terms[key] = table
+            assert cols[col] is None, f"column {col} built twice"
+            cols[col] = terms
+    assert all(c is not None for c in cols)
+    return cols
+
+
+def _assert_batched_matches_per_column(spec, engine, sample=None):
+    level = spec.r + spec.n
+    fro = Frobenius(engine)
+    labels, parts = _build_columns(spec, engine, fro, level)
+    batched = _split_columns(labels, parts)
+    space = _NON_ITERATED[spec.statement]
+    left = enumerate_basis(engine, space, spec.r, level)
+    right = enumerate_basis(engine, space, spec.n, level)
+    assert len(labels) == len(left) * len(right)
+    picks = range(len(labels))
+    if sample is not None and len(labels) > sample:
+        picks = sorted(random.Random(31).sample(picks, sample) + [0, len(labels) - 1])
+    for k in picks:
+        i, j = divmod(k, len(right))
+        assert labels[k] == f"{left[i][0]} * Fr'^{spec.r}({right[j][0]})"
+        want = engine.multiply(left[i][1], fro.fr_prime(right[j][1], spec.r))
+        got = batched[k]
+        assert set(got) == set(want.terms), (spec, k)
+        for key, h in want.terms.items():
+            assert got[key].dtype == h.arr.dtype
+            assert np.array_equal(got[key], h.arr), (spec, k, key)
+    return labels, parts
+
+
+_SMALL_CASES = [
+    (stmt, system, p)
+    for stmt in _NON_ITERATED
+    for system in ("A1", "A2")
+    for p in (2, 3)
+    # A2 Borel at p=3 (59049 columns) and A2 full (65536 columns at p=2)
+    # are sampled below; A2 full at p=3 has 3^16 columns.
+    if system == "A1"
+    or stmt in ("Thm4.5-first", "Prop5.1-first")
+    or (p == 2 and stmt != "Thm5.5-first")
+]
+
+
+@pytest.mark.parametrize("statement,system,p", _SMALL_CASES)
+def test_batched_columns_match_per_column(statement, system, p):
+    spec = MapSpec(statement, system, p, 1, 1)
+    engine = Engine(build_root_system(system), p)
+    labels, parts = _assert_batched_matches_per_column(spec, engine)
+    # a key held by one basis element keeps plain tables, one product per column
+    assert (len(parts) == len(labels)) == (statement == "Thm4.5-first")
+    assert all((np.ndim(idx) == 0) == (statement == "Thm4.5-first") for idx, _ in parts)
+
+
+@pytest.mark.parametrize("spec", [
+    MapSpec("Borel-variant", "A2", 3, 1, 1),
+    MapSpec("Minus-variant", "A2", 3, 1, 1),
+    MapSpec("Thm5.5-first", "A2", 2, 1, 1),
+    MapSpec("Thm5.5-first", "A1", 2, 1, 2),
+])
+def test_batched_columns_match_per_column_sampled(spec):
+    engine = Engine(build_root_system(spec.system), spec.p)
+    _assert_batched_matches_per_column(spec, engine, sample=150)
+
+
+def test_batched_columns_on_sabotaged_engine():
+    spec = MapSpec("Borel-variant", "A2", 3, 1, 1)
+    _assert_batched_matches_per_column(spec, sabotaged_engine("A2", 3), sample=150)
+
+
+def test_basis_size_counts_the_basis():
+    for system in ("A1", "A2"):
+        for p in (2, 3):
+            eng = Engine(build_root_system(system), p)
+            for space in ("plus", "minus", "zero", "borel", "minus-borel", "full"):
+                if system == "A2" and p == 3 and space == "full":
+                    continue
+                assert basis_size(eng, space, 1) == len(enumerate_basis(eng, space, 1, 1))
+
+
+def _batched_part(eng, level, tables):
+    """A product whose tables, given per key as lists of slices, carry a
+    (1, len(slices)) batch axis."""
+    terms = {key: HPart(np.stack(sl)[None], eng.p, level) for key, sl in tables.items()}
+    return PBWElement(eng, level, terms)
+
+
+def test_zero_slice_lands_in_zero_weight_block():
+    eng = Engine(build_root_system("A1"), 2)
+    level = 2
+    target = _TargetIndex(eng, "full", level, level)
+    key = ((0,), (1,))  # e^(1): weight 2
+    w = eng.term_weight(key)
+    ones = np.ones((4,), dtype=np.int16)
+    zero = np.zeros((4,), dtype=np.int16)
+    first = np.array([1, 0, 1, 0], dtype=np.int16)
+    prod = _batched_part(eng, level, {key: [first, zero, ones]})
+    pieces = target.split([(np.array([[7, 2, 5]]), prod)])
+    assert set(pieces) == {w, (0,)}
+    (cols, keys, tables), = pieces[w]
+    assert list(cols) == [7, 5] and keys == [key] and tables.shape == (1, 2, target.hsize)
+    (cols0, keys0, _), = pieces[(0,)]
+    assert list(cols0) == [2] and keys0 == []
+    mat, cols = target.block(pieces[(0,)], (0,))
+    assert list(cols) == [2] and mat.shape[1] == 1 and not mat.any()
+    mat, cols = target.block(pieces[w], w)
+    assert list(cols) == [5, 7]
+    base = target.key_offset[key] * target.hsize
+    assert np.array_equal(mat[base : base + 4], np.stack([ones, first], axis=1))
+    assert mat.sum() == 6
+    # a plain zero product also goes to the zero weight
+    pieces = target.split([(3, eng.zero(level))])
+    assert list(pieces) == [(0,)] and list(pieces[(0,)][0][0]) == [3]
+
+
+def test_split_refuses_mixed_weights_per_slice():
+    eng = Engine(build_root_system("A1"), 2)
+    level = 2
+    target = _TargetIndex(eng, "full", level, level)
+    ones = np.ones((4,), dtype=np.int16)
+    zero = np.zeros((4,), dtype=np.int16)
+    e1, f1 = ((0,), (1,)), ((1,), (0,))
+    # two weights in different slices: fine, one piece each
+    prod = _batched_part(eng, level, {e1: [ones, zero], f1: [zero, ones]})
+    pieces = target.split([(np.array([[0, 1]]), prod)])
+    assert {w: list(ps[0][0]) for w, ps in pieces.items()} == {
+        eng.term_weight(e1): [0], eng.term_weight(f1): [1]}
+    # two weights in one slice: the column is not homogeneous
+    prod = _batched_part(eng, level, {e1: [ones, zero], f1: [ones, zero]})
+    with pytest.raises(ValueError, match="weight-homogeneous"):
+        target.split([(np.array([[0, 1]]), prod)])
+
+
+def test_block_refuses_term_outside_target():
+    eng = Engine(build_root_system("A1"), 2)
+    level = 1
+    target = _TargetIndex(eng, "plus", level, level)
+    key = ((0,), (2,))  # e^(2) lies outside the depth-1 truncation
+    prod = eng.monomial(*key, None, level)
+    pieces = target.split([(0, prod)])
+    w = eng.term_weight(key)
+    with pytest.raises(RuntimeError, match="outside its weight block"):
+        target.block(pieces[w], w)
+
+
+@pytest.mark.parametrize("spec", [
+    MapSpec("Thm4.5-first", "A2", 3, 1, 1),
+    MapSpec("Thm5.5-first", "A1", 3, 1, 1),
+    MapSpec("Borel-variant", "A2", 2, 1, 1),
+    MapSpec("Prop5.1-first", "A2", 2, 1, 2),
+])
+def test_blocks_match_per_column_coordinates(spec):
+    # Each weight block equals the matrix of the per-column products'
+    # coordinates, columns in column order.
+    engine = Engine(build_root_system(spec.system), spec.p)
+    level = spec.r + spec.n
+    fro = Frobenius(engine)
+    space = _NON_ITERATED[spec.statement]
+    target = _TargetIndex(engine, space, level, level)
+    labels, parts = _build_columns(spec, engine, fro, level)
+    pieces = target.split(parts)
+    left = enumerate_basis(engine, space, spec.r, level)
+    right = enumerate_basis(engine, space, spec.n, level)
+    want = {}
+    for k in range(len(labels)):
+        i, j = divmod(k, len(right))
+        col = engine.multiply(left[i][1], fro.fr_prime(right[j][1], spec.r))
+        weights = {engine.term_weight(key) for key in col.terms}
+        assert len(weights) <= 1
+        w = weights.pop() if weights else (0,) * engine.rs.rank
+        vec = np.zeros(len(target.rows_by_weight.get(w, [])) * target.hsize, dtype=np.int64)
+        for key, h in col.terms.items():
+            base = target.key_offset[key] * target.hsize
+            vec[base : base + target.hsize] = h.arr.ravel()[: target.hsize]
+        want.setdefault(w, []).append((k, vec))
+    assert set(pieces) == set(want)
+    for w, entries in want.items():
+        mat, cols = target.block(pieces[w], w)
+        assert list(cols) == [k for k, _ in entries]
+        assert np.array_equal(mat, np.stack([v for _, v in entries], axis=1))

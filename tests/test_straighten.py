@@ -375,6 +375,56 @@ def test_shift_matches_roll():
                 assert np.array_equal(h.shift(w).arr, _rolled(arr, w))
 
 
+def test_shift_of_batched_table_shifts_each_slice():
+    rng = np.random.default_rng(6)
+    for p, level, rank, batch in ((2, 2, 2, (3, 1)), (2, 2, 2, (1, 4)),
+                                  (3, 1, 2, (2, 3)), (2, 3, 1, (5,)), (3, 2, 1, (2, 2))):
+        size = p**level
+        arr = rng.integers(0, p, size=batch + (size,) * rank).astype(np.int16)
+        h = HPart(arr, p, level)
+        for _ in range(8):
+            w = tuple(int(v) for v in rng.integers(-2 * size, 2 * size, size=rank))
+            got = h.shift(w).arr
+            assert got.shape == arr.shape and got.dtype == arr.dtype
+            for s in np.ndindex(*batch):
+                single = HPart(arr[s].copy(), p, level).shift(w).arr
+                assert np.array_equal(got[s], single), (p, level, batch, w, s)
+                assert np.array_equal(got[s], _rolled(arr[s], w))
+        assert h.shift((0,) * rank).arr is arr
+
+
+def _binom_root_direct(eng, gamma, c, n, level):
+    """binom(h_gamma + c, n) on every weight, one lucas_binom per entry."""
+    size = eng.p**level
+    coeffs = eng.sc.coroot_coeffs(gamma)
+    out = np.zeros((size,) * eng.rs.rank, dtype=np.int16)
+    for lam in np.ndindex(*out.shape):
+        x = (c + sum(d * v for d, v in zip(coeffs, lam))) % size
+        out[lam] = lucas_binom(x, n, eng.p)
+    return out
+
+
+def test_binom_h_root_matches_direct_construction():
+    rng = random.Random(23)
+    for label in ("A2", "B2", "G2"):
+        for p in (2, 3):
+            eng = engine_for(label, p)
+            level = 2
+            size = p**level
+            for gamma in eng.rs.roots:
+                for _ in range(3):
+                    c = rng.randrange(-3 * size, 3 * size)
+                    n = rng.randrange(size)
+                    want = _binom_root_direct(eng, gamma, c, n, level)
+                    for _ in range(2):  # the second call reads the cached index
+                        got = eng.binom_h_root(gamma, c, n, level)
+                        assert got.arr.dtype == np.int16
+                        assert np.array_equal(got.arr, want), (label, p, gamma, c, n)
+                # a cold engine finds the same tables
+                fresh = Engine(eng.rs, p, sc=eng.sc)
+                assert np.array_equal(fresh.binom_h_root(gamma, c, n, level).arr, want)
+
+
 def test_exps_weight_is_the_grading():
     for label in SYSTEMS:
         eng = engine_for(label, 2)
