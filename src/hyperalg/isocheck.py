@@ -55,16 +55,6 @@ STATEMENTS = tuple(_STATEMENT_SPACE)
 # Statements whose map multiplies r Frobenius images of depth-1 bases, so
 # that the target has depth r (the others: depth r + n).
 _ITERATED = frozenset({"Thm4.5-second", "Prop5.1-second", "Thm5.5-second"})
-# Space -> (exponent vectors over the positive roots, over the simple
-# coroots) that index its basis; each ranges over p^depth values per entry.
-_BASIS_EXPONENTS = {
-    "plus": (1, 0),
-    "minus": (1, 0),
-    "zero": (0, 1),
-    "borel": (1, 1),
-    "minus-borel": (1, 1),
-    "full": (2, 1),
-}
 
 
 @dataclass(frozen=True)
@@ -184,12 +174,6 @@ def enumerate_basis(
     return out
 
 
-def basis_size(engine: Engine, space: str, depth: int) -> int:
-    """len(enumerate_basis(engine, space, depth, level)), without building it."""
-    roots, coroots = _BASIS_EXPONENTS[space]
-    return engine.p ** (depth * (roots * engine.nu + coroots * engine.rs.rank))
-
-
 def _mono_label(rs: RootSystem, a: Sequence[int], b: Sequence[int], mu) -> str:
     parts = []
     for k, n in enumerate(a):
@@ -286,86 +270,91 @@ class _TargetIndex:
             block.append(key)
         self.dim = len(keys) * self.hsize
 
-    def split(self, parts: List) -> Dict[Tuple[int, ...], List]:
+    def split(self, parts: List) -> Dict[Tuple[int, ...], Tuple]:
         """Cut `_build_columns` products into weight blocks, emptying the
         list parts as it goes, so that each product is freed once cut.
 
-        Returns weight -> pieces (column numbers, keys, tables): tables has
-        shape (len(keys), len(column numbers), hsize) and holds, for each
-        key of that weight, the coordinates of its table in each of the
-        piece's columns; a term that is zero in all of them is left out.
-        A column whose terms have more than one weight raises ValueError,
-        and a zero column goes to the zero weight.
+        Returns weight -> (cols, offsets, entry_cols, values): cols are the
+        block's column numbers in increasing order, and row i of values
+        holds the coordinates of one nonzero term of column entry_cols[i],
+        whose key has offset offsets[i] among the keys of the block.  A
+        column whose terms have more than one weight raises ValueError, a
+        term outside the target RuntimeError, and a zero column goes to
+        the zero weight.
         """
-        weight_of = self.weight_of_key.get
-        term_weight = self.engine.term_weight
-        zero = (0,) * self.engine.rs.rank
-        out: Dict[Tuple[int, ...], List] = {}
+        hsize = self.hsize
+        number: Dict = {}
+        seen, key_runs, col_runs, tables = [], [], [], []
         while parts:
             cols, prod = parts.pop()
             cols = np.ravel(cols)
-            terms = prod.terms
-            if not terms:
-                out.setdefault(zero, []).append((cols, [], None))
-                continue
-            keys = list(terms)
-            weights = [weight_of(key) or term_weight(key) for key in keys]
-            full = np.concatenate(
-                [h.arr.reshape(1, cols.size, -1) for h in terms.values()]
+            seen.append(cols)
+            for key, h in prod.terms.items():
+                key_runs.append(number.setdefault(key, len(number)))
+                col_runs.append(cols)
+                values = h.arr.reshape(cols.size, -1)
+                if values.shape[1] > hsize:
+                    # Scalar-only spaces read each (constant) table at
+                    # weight 0; the copy lets the full table go.
+                    values = values[:, :hsize].copy()
+                tables.append(values)
+        keys = list(number)
+        term_weight = self.engine.term_weight
+        weights = [self.weight_of_key.get(k) or term_weight(k) for k in keys]
+        names = sorted(set(weights))
+        name_at = {w: i for i, w in enumerate(names)}
+        key_weight = np.array([name_at[w] for w in weights], dtype=np.intp)
+        key_offset = np.array([self.key_offset.get(k, -1) for k in keys], dtype=np.intp)
+        sizes = [c.size for c in col_runs]
+        key_at = np.repeat(np.array(key_runs, dtype=np.intp), sizes)
+        col = np.concatenate([np.zeros(0, dtype=np.intp)] + col_runs)
+        values = np.concatenate([np.zeros((0, hsize), dtype=np.int16)] + tables)
+        del col_runs, tables
+        # Nonzero entries, ordered by weight, then column.
+        live = np.flatnonzero(values.any(axis=1))
+        keep = live[np.lexsort((col[live], key_weight[key_at[live]]))]
+        key_at, col, values = key_at[keep], col[keep], values[keep]
+        weight_at = key_weight[key_at]
+        # first[i]: entry i opens a new (weight, column) pair
+        first = np.ones(len(col), dtype=bool)
+        first[1:] = (weight_at[1:] != weight_at[:-1]) | (col[1:] != col[:-1])
+        taken = col[first]
+        if (np.bincount(taken) > 1).any():
+            raise ValueError("element is not weight-homogeneous")
+        outside = np.flatnonzero(key_offset[key_at] < 0)
+        if outside.size:
+            k = key_at[outside[0]]
+            raise RuntimeError(
+                f"term {keys[k]} falls outside its weight block {weights[k]}"
             )
-            live = full.any(axis=2)
-            # Scalar-only spaces read each (constant) table at weight 0; the
-            # copy lets the full tables go.
-            tables = full[:, :, : self.hsize].copy()
-            if weights.count(weights[0]) == len(weights) and live.all():
-                # The common case: one weight, every term nonzero in every column.
-                out.setdefault(weights[0], []).append((cols, keys, tables))
-                continue
-            by_weight: Dict[Tuple[int, ...], List[int]] = {}
-            for i, w in enumerate(weights):
-                by_weight.setdefault(w, []).append(i)
-            masks = [live[idx].any(axis=0) for idx in by_weight.values()]
-            if len(masks) > 1 and (np.sum(masks, axis=0) > 1).any():
-                raise ValueError("element is not weight-homogeneous")
-            for (w, idx), mask in zip(by_weight.items(), masks):
-                if mask.any():
-                    idx = [i for i, k in zip(idx, live[idx][:, mask].any(axis=1)) if k]
-                    piece = (cols[mask], [keys[i] for i in idx], tables[idx][:, mask])
-                    out.setdefault(w, []).append(piece)
-            empty = ~np.any(masks, axis=0)
-            if empty.any():
-                out.setdefault(zero, []).append((cols[empty], [], None))
+        out: Dict[Tuple[int, ...], Tuple] = {}
+        bounds = np.flatnonzero(np.diff(weight_at, prepend=-1, append=-1))
+        for start, stop in zip(bounds[:-1], bounds[1:]):
+            out[names[weight_at[start]]] = (
+                col[start:stop][first[start:stop]],
+                key_offset[key_at[start:stop]],
+                col[start:stop],
+                values[start:stop],
+            )
+        empty = np.setdiff1d(np.concatenate(seen), taken)
+        if empty.size:
+            zero = (0,) * self.engine.rs.rank
+            cols, *entries = out.get(zero) or (
+                empty, key_offset[:0], col[:0], values[:0]
+            )
+            out[zero] = (np.union1d(cols, empty), *entries)
         return out
 
     def block(
-        self, pieces: Sequence, weight: Tuple[int, ...]
+        self, piece: Tuple, weight: Tuple[int, ...]
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Matrix of one weight block from its `split` pieces,
-        filled in place, and the column numbers of its columns, which are
-        in increasing order."""
-        cols = np.concatenate([c for c, _, _ in pieces])
-        order = np.argsort(cols)
-        at = np.empty_like(order)
-        at[order] = np.arange(len(cols))
+        """Matrix of one weight block from its `split` piece, and the
+        column numbers of its columns, which are in increasing order."""
+        cols, offsets, entry_cols, values = piece
         rows = self.rows_by_weight.get(weight, [])
-        mat = np.zeros((len(rows) * self.hsize, len(cols)), dtype=np.int64)
-        span = np.arange(self.hsize)
-        start = 0
-        for piece_cols, keys, tables in pieces:
-            piece_at = at[start : start + len(piece_cols)]
-            start += len(piece_cols)
-            if not keys:
-                continue
-            bases = []
-            for key in keys:
-                if self.weight_of_key.get(key) != weight:
-                    raise RuntimeError(
-                        f"term {key} falls outside its weight block {weight}"
-                    )
-                bases.append(self.key_offset[key] * self.hsize)
-            rows_at = (np.array(bases)[:, None] + span)[:, :, None]
-            mat[rows_at, piece_at] = tables.transpose(0, 2, 1)
-        return mat, cols[order]
+        mat = np.zeros((len(rows), self.hsize, len(cols)), dtype=np.int64)
+        mat[offsets, :, np.searchsorted(cols, entry_cols)] = values
+        return mat.reshape(-1, len(cols)), cols
 
 
 def _basis_groups(basis: Sequence[Tuple[str, PBWElement]]) -> List[List[int]]:
@@ -376,7 +365,9 @@ def _basis_groups(basis: Sequence[Tuple[str, PBWElement]]) -> List[List[int]]:
     return list(groups.values())
 
 
-def _stack(engine: Engine, xs: Sequence[PBWElement], batch: Tuple[int, ...]) -> PBWElement:
+def _stack(
+    engine: Engine, xs: Sequence[PBWElement], batch: Tuple[int, ...]
+) -> PBWElement:
     """One element whose tables hold those of xs along batch axes of the
     given shape, a zero table standing in for a key that an x lacks."""
     if not batch:
@@ -428,7 +419,8 @@ def _build_columns(spec: MapSpec, engine: Engine, fro: Frobenius, level: int):
     right_img = []
     for group in right_groups:
         imgs = [fro.fr_prime(right[j][1], r) for j in group]
-        right_img.append((group, _stack(engine, imgs, (1, len(group)) if batched else ())))
+        ys = _stack(engine, imgs, (1, len(group)) if batched else ())
+        right_img.append((group, ys))
     for group in left_groups:
         xs = [left[i][1] for i in group]
         xs = _stack(engine, xs, (len(group), 1) if batched else ())
@@ -502,15 +494,12 @@ def verify(
     if engine is None:
         engine = Engine(rs, spec.p)
     space = _STATEMENT_SPACE[spec.statement]
-    if spec.statement in _ITERATED:
-        count = basis_size(engine, space, 1) ** spec.r
-    else:
-        count = basis_size(engine, space, spec.r) * basis_size(engine, space, spec.n)
-    if count > column_cap:
-        raise ValueError(f"{count} columns exceed the cap {column_cap}")
+    target = _TargetIndex(engine, space, depth, level)
+    # A bijective map has as many columns as the target has rows.
+    if target.dim > column_cap:
+        raise ValueError(f"{target.dim} columns exceed the cap {column_cap}")
     fro = Frobenius(engine)
     labels, parts = _build_columns(spec, engine, fro, level)
-    target = _TargetIndex(engine, space, depth, level)
     source_dim = len(labels)
     if source_dim != target.dim:
         raise RuntimeError(

@@ -163,8 +163,6 @@ class HPart:
             idx = _SHIFT_INDEX[key] = _shift_index(*key)
         if idx is None:
             return HPart(arr, self.p, self.level)
-        if arr.ndim == rank:
-            return HPart(arr.take(idx), self.p, self.level)
         flat = arr.reshape(arr.shape[:-rank] + (-1,))
         return HPart(flat.take(idx, axis=-1), self.p, self.level)
 

@@ -13,7 +13,6 @@ from hyperalg.isocheck import (
     MapSpec,
     _build_columns,
     _TargetIndex,
-    basis_size,
     enumerate_basis,
     rank_fp,
     sabotaged_engine,
@@ -272,16 +271,6 @@ def test_batched_columns_on_sabotaged_engine():
     _assert_batched_matches_per_column(spec, sabotaged_engine("A2", 3), sample=150)
 
 
-def test_basis_size_counts_the_basis():
-    for system in ("A1", "A2"):
-        for p in (2, 3):
-            eng = Engine(build_root_system(system), p)
-            for space in ("plus", "minus", "zero", "borel", "minus-borel", "full"):
-                if system == "A2" and p == 3 and space == "full":
-                    continue
-                assert basis_size(eng, space, 1) == len(enumerate_basis(eng, space, 1, 1))
-
-
 def _batched_part(eng, level, tables):
     """A product whose tables, given per key as lists of slices, carry a
     (1, len(slices)) batch axis."""
@@ -301,10 +290,12 @@ def test_zero_slice_lands_in_zero_weight_block():
     prod = _batched_part(eng, level, {key: [first, zero, ones]})
     pieces = target.split([(np.array([[7, 2, 5]]), prod)])
     assert set(pieces) == {w, (0,)}
-    (cols, keys, tables), = pieces[w]
-    assert list(cols) == [7, 5] and keys == [key] and tables.shape == (1, 2, target.hsize)
-    (cols0, keys0, _), = pieces[(0,)]
-    assert list(cols0) == [2] and keys0 == []
+    cols, offsets, entry_cols, values = pieces[w]
+    assert list(cols) == [5, 7] and list(entry_cols) == [5, 7]
+    assert list(offsets) == [target.key_offset[key]] * 2
+    assert np.array_equal(values, np.stack([ones, first]))
+    cols0, offsets0, entry_cols0, values0 = pieces[(0,)]
+    assert list(cols0) == [2] and offsets0.size == entry_cols0.size == len(values0) == 0
     mat, cols = target.block(pieces[(0,)], (0,))
     assert list(cols) == [2] and mat.shape[1] == 1 and not mat.any()
     mat, cols = target.block(pieces[w], w)
@@ -314,7 +305,7 @@ def test_zero_slice_lands_in_zero_weight_block():
     assert mat.sum() == 6
     # a plain zero product also goes to the zero weight
     pieces = target.split([(3, eng.zero(level))])
-    assert list(pieces) == [(0,)] and list(pieces[(0,)][0][0]) == [3]
+    assert list(pieces) == [(0,)] and list(pieces[(0,)][0]) == [3]
 
 
 def test_split_refuses_mixed_weights_per_slice():
@@ -327,7 +318,7 @@ def test_split_refuses_mixed_weights_per_slice():
     # two weights in different slices: fine, one piece each
     prod = _batched_part(eng, level, {e1: [ones, zero], f1: [zero, ones]})
     pieces = target.split([(np.array([[0, 1]]), prod)])
-    assert {w: list(ps[0][0]) for w, ps in pieces.items()} == {
+    assert {w: list(piece[0]) for w, piece in pieces.items()} == {
         eng.term_weight(e1): [0], eng.term_weight(f1): [1]}
     # two weights in one slice: the column is not homogeneous
     prod = _batched_part(eng, level, {e1: [ones, zero], f1: [ones, zero]})
@@ -335,16 +326,21 @@ def test_split_refuses_mixed_weights_per_slice():
         target.split([(np.array([[0, 1]]), prod)])
 
 
-def test_block_refuses_term_outside_target():
+def test_split_refuses_term_outside_target():
     eng = Engine(build_root_system("A1"), 2)
     level = 1
     target = _TargetIndex(eng, "plus", level, level)
     key = ((0,), (2,))  # e^(2) lies outside the depth-1 truncation
     prod = eng.monomial(*key, None, level)
-    pieces = target.split([(0, prod)])
-    w = eng.term_weight(key)
     with pytest.raises(RuntimeError, match="outside its weight block"):
-        target.block(pieces[w], w)
+        target.split([(0, prod)])
+    # a zero slice of such a term is left out, not refused
+    zero = np.zeros((2,), dtype=np.int16)
+    ones = np.ones((2,), dtype=np.int16)
+    prod = _batched_part(eng, level, {key: [zero, zero], ((0,), (1,)): [ones, zero]})
+    pieces = target.split([(np.array([[0, 1]]), prod)])
+    assert {w: list(piece[0]) for w, piece in pieces.items()} == {
+        eng.term_weight(((0,), (1,))): [0], (0,): [1]}
 
 
 @pytest.mark.parametrize("spec", [
