@@ -17,8 +17,10 @@ images on the right, and one `Engine.multiply` per pair of keys gives all
 L * L' columns of the pair: column [s, t] is slice [s, t] of every table
 of the product.  Keys held by one basis element (the raising and lowering
 spaces) and the iterated statements keep plain tables, one product per
-column.  `_TargetIndex.split` then cuts each product's slices into weight
-blocks, and `_TargetIndex.block` writes a block's matrix from them.
+column.  `_TargetIndex.split` then gathers the nonzero term tables of
+every column of every product, plain or batched, into flat arrays and
+cuts them into weight blocks in one sorted pass, and `_TargetIndex.block`
+writes a block's matrix from its share.
 """
 
 from __future__ import annotations
@@ -289,15 +291,16 @@ class _TargetIndex:
             cols, prod = parts.pop()
             cols = np.ravel(cols)
             seen.append(cols)
-            for key, h in prod.terms.items():
+            if not prod.terms:
+                continue
+            for key in prod.terms:
                 key_runs.append(number.setdefault(key, len(number)))
                 col_runs.append(cols)
-                values = h.arr.reshape(cols.size, -1)
-                if values.shape[1] > hsize:
-                    # Scalar-only spaces read each (constant) table at
-                    # weight 0; the copy lets the full table go.
-                    values = values[:, :hsize].copy()
-                tables.append(values)
+            # Scalar-only spaces read each (constant) table at weight 0;
+            # the copy keeps only what is read and lets the product go.
+            tables.append(np.concatenate(
+                [h.arr.reshape(cols.size, -1)[:, :hsize] for h in prod.terms.values()]
+            ))
         keys = list(number)
         term_weight = self.engine.term_weight
         weights = [self.weight_of_key.get(k) or term_weight(k) for k in keys]
