@@ -11,10 +11,8 @@ from __future__ import annotations
 from itertools import product
 from typing import Dict, List, Tuple
 
-import numpy as np
-
 from .rootdata import RootSystem, Weight
-from .straighten import Engine, HPart, InsufficientLevelError, PBWElement, lucas_binom
+from .straighten import Engine, HPart, InsufficientLevelError, PBWElement
 
 
 def enumerate_Xm(rs: RootSystem, p: int, m: int) -> List[Weight]:
@@ -25,26 +23,18 @@ def enumerate_Xm(rs: RootSystem, p: int, m: int) -> List[Weight]:
 
 
 def mu_hpart(engine: Engine, lam: Weight, n: int, level: int) -> HPart:
-    """Torus table of the idempotent: built from its defining binomial product."""
+    """Torus table of the idempotent: its defining binomial product, the
+    product over i of binom(h_i - lam_i - 1, p^n - 1)."""
     if n > level:
         raise InsufficientLevelError(
             f"idempotent at level {n} needs torus level at least {n}"
         )
-    out = engine.hpart_one(level)
-    size = engine.p**level
     deg = engine.p**n - 1
-    lut = np.array(
-        [lucas_binom(x, deg, engine.p) for x in range(size)], dtype=np.int16
-    )
-    for i in range(engine.rs.rank):
-        shape = [1] * engine.rs.rank
-        shape[i] = size
-        idx = (np.arange(size) - lam[i] - 1) % size
-        axis = np.broadcast_to(
-            lut[idx].reshape(shape), (size,) * engine.rs.rank
-        ).copy()
-        out = out.mul(HPart(axis, engine.p, level))
-    return out
+    out = engine.binom_h_simple(0, deg, level)
+    for i in range(1, engine.rs.rank):
+        out = out.mul(engine.binom_h_simple(i, deg, level))
+    # binom(h_i, p^n - 1) is the indicator of h_i = -1 modulo p^n.
+    return out.shift(tuple(-(x + 1) for x in lam))
 
 
 def mu_lambda(engine: Engine, lam: Weight, n: int, level: int) -> PBWElement:

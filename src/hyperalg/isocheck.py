@@ -21,6 +21,11 @@ column.  `_TargetIndex.split` then gathers the nonzero term tables of
 every column of every product, plain or batched, into flat arrays and
 cuts them into weight blocks in one sorted pass, and `_TargetIndex.block`
 writes a block's matrix from its share.
+
+No index of the target's rows is built in advance: `split` takes each
+block's rows from the products, in sorted key order, the order of the
+target basis.  The target is a dimension and a membership test, read from
+`_SPACES`, the table of spaces that also drives `enumerate_basis`.
 """
 
 from __future__ import annotations
@@ -116,9 +121,17 @@ class VerificationReport:
 
 # -- bases --------------------------------------------------------------
 
-
-def _exp_vectors(p: int, r: int, nu: int) -> List[Tuple[int, ...]]:
-    return list(iproduct(range(p**r), repeat=nu))
+# Truncated space -> its factors in basis loop order, outermost first:
+# "f" a lowering exponent vector, "h" a torus idempotent, "e" a raising
+# exponent vector.
+_SPACES = {
+    "plus": "e",
+    "minus": "f",
+    "zero": "h",
+    "borel": "he",
+    "minus-borel": "hf",
+    "full": "fhe",
+}
 
 
 def enumerate_basis(
@@ -126,53 +139,28 @@ def enumerate_basis(
 ) -> List[Tuple[str, PBWElement]]:
     """Ordered basis of a truncated subalgebra as labelled elements.
 
-    space is one of "plus", "minus", "zero", "borel", "minus-borel",
-    "full"; r is the truncation depth, level the torus level of the
-    produced elements.
+    space is a key of `_SPACES`; r is the truncation depth, level the
+    torus level of the produced elements.  The basis runs over the
+    space's factors in its loop order, each exponent vector and each
+    weight of X_r in increasing order.
     """
-    rs = engine.rs
-    nu = engine.nu
-    p = engine.p
-    zero_nu = (0,) * nu
-    out: List[Tuple[str, PBWElement]] = []
-
-    def label(a, b, mu):
-        return _mono_label(rs, a, b, mu)
-
-    if space == "plus":
-        for b in _exp_vectors(p, r, nu):
-            out.append((label((), b, None), engine.monomial(zero_nu, b, None, level)))
-    elif space == "minus":
-        for a in _exp_vectors(p, r, nu):
-            out.append((label(a, (), None), engine.monomial(a, zero_nu, None, level)))
-    elif space == "zero":
-        for lam in enumerate_Xm(rs, p, r):
-            h = mu_hpart(engine, lam, r, level)
-            out.append((label((), (), (lam, r)), engine.hpart_element(h, level)))
-    elif space == "borel":
-        for lam in enumerate_Xm(rs, p, r):
-            h = mu_hpart(engine, lam, r, level)
-            for b in _exp_vectors(p, r, nu):
-                out.append(
-                    (label((), b, (lam, r)), engine.monomial(zero_nu, b, h, level))
-                )
-    elif space == "minus-borel":
-        for lam in enumerate_Xm(rs, p, r):
-            h = mu_hpart(engine, lam, r, level)
-            for a in _exp_vectors(p, r, nu):
-                out.append(
-                    (label(a, (), (lam, r)), engine.monomial(a, zero_nu, h, level))
-                )
-    elif space == "full":
-        for a in _exp_vectors(p, r, nu):
-            for lam in enumerate_Xm(rs, p, r):
-                h = mu_hpart(engine, lam, r, level)
-                for b in _exp_vectors(p, r, nu):
-                    out.append(
-                        (label(a, b, (lam, r)), engine.monomial(a, b, h, level))
-                    )
-    else:
+    if space not in _SPACES:
         raise ValueError(f"unknown space {space!r}")
+    rs, p, factors = engine.rs, engine.p, _SPACES[space]
+    zero_nu = (0,) * engine.nu
+    exps = list(iproduct(range(p**r), repeat=engine.nu))
+    choices = {"f": exps, "e": exps}
+    if "h" in factors:
+        choices["h"] = [
+            (lam, mu_hpart(engine, lam, r, level)) for lam in enumerate_Xm(rs, p, r)
+        ]
+    out: List[Tuple[str, PBWElement]] = []
+    for combo in iproduct(*(choices[c] for c in factors)):
+        pick = dict(zip(factors, combo))
+        a, b = pick.get("f", zero_nu), pick.get("e", zero_nu)
+        lam, h = pick.get("h", (None, None))
+        mu = None if lam is None else (lam, r)
+        out.append((_mono_label(rs, a, b, mu), engine.monomial(a, b, h, level)))
     return out
 
 
@@ -233,60 +221,49 @@ def _kernel_vector(mat: np.ndarray, p: int) -> Optional[np.ndarray]:
 
 
 class _TargetIndex:
-    """Rows of the target space, grouped by weight."""
+    """The target space: its dimension and the monomial keys it holds.
+
+    No row is enumerated in advance.  `split` takes the rows of each weight
+    block from the products: the keys of that weight that carry a nonzero
+    entry, in sorted key order, each key a run of hsize rows.  That is the
+    order of the target basis, so a bijective map, which touches every
+    row, gets each block on the full target basis.  Any other map loses
+    only rows that no column touches; they are zero, so the block's rank
+    and reduced form are unchanged.
+    """
 
     def __init__(self, engine: Engine, space: str, depth: int, level: int):
+        if space not in _SPACES:
+            raise ValueError(f"unknown space {space!r}")
         self.engine = engine
-        p = engine.p
-        nu = engine.nu
-        zero_nu = (0,) * nu
-        if space == "plus":
-            keys = [(zero_nu, b) for b in _exp_vectors(p, depth, nu)]
-        elif space == "minus":
-            keys = [(a, zero_nu) for a in _exp_vectors(p, depth, nu)]
-        elif space == "zero":
-            keys = [(zero_nu, zero_nu)]
-        elif space == "borel":
-            keys = [(zero_nu, b) for b in _exp_vectors(p, depth, nu)]
-        elif space == "minus-borel":
-            keys = [(a, zero_nu) for a in _exp_vectors(p, depth, nu)]
-        elif space == "full":
-            keys = [
-                (a, b)
-                for a in _exp_vectors(p, depth, nu)
-                for b in _exp_vectors(p, depth, nu)
-            ]
-        else:
-            raise ValueError(space)
+        factors = _SPACES[space]
+        # Sides of a key (a, b) that may be nonzero: a lowers, b raises.
+        self.sides = np.array([["f" in factors], ["e" in factors]])
+        self.size = engine.p**depth
         # Pure-sign spaces carry a scalar per monomial; the rest carry a
         # full torus table per monomial.
-        self.hsize = 1 if space in ("plus", "minus") else (p**level) ** engine.rs.rank
-        self.key_offset: Dict = {}
-        self.weight_of_key: Dict = {}
-        self.rows_by_weight: Dict[Tuple[int, ...], List] = {}
-        for key in keys:
-            w = engine.term_weight(key)
-            self.weight_of_key[key] = w
-            block = self.rows_by_weight.setdefault(w, [])
-            self.key_offset[key] = len(block)
-            block.append(key)
-        self.dim = len(keys) * self.hsize
+        self.hsize = (engine.p**level) ** engine.rs.rank if "h" in factors else 1
+        self.dim = self.size ** (engine.nu * int(self.sides.sum())) * self.hsize
+
+    def holds(self, keys: Sequence) -> np.ndarray:
+        """Which of the monomial keys (a, b) are keys of the target."""
+        exps = np.array(keys, dtype=np.intp).reshape(len(keys), 2, self.engine.nu)
+        return ((exps < self.size) & self.sides | (exps == 0)).all(axis=(1, 2))
 
     def split(self, parts: List) -> Dict[Tuple[int, ...], Tuple]:
         """Cut `_build_columns` products into weight blocks, emptying the
         list parts as it goes, so that each product is freed once cut.
 
-        Returns weight -> (cols, offsets, entry_cols, values): cols are the
-        block's column numbers in increasing order, and row i of values
-        holds the coordinates of one nonzero term of column entry_cols[i],
-        whose key has offset offsets[i] among the keys of the block.  A
-        column whose terms have more than one weight raises ValueError, a
-        term outside the target RuntimeError, and a zero column goes to
-        the zero weight.
+        Returns weight -> (cols, rows, offsets, entry_cols, values): cols
+        are the block's column numbers in increasing order, rows its keys
+        in sorted order, and row i of values holds the coordinates of one
+        nonzero term of column entry_cols[i], whose key is
+        rows[offsets[i]].  A column whose terms have more than one weight
+        raises ValueError, a term outside the target RuntimeError, and a
+        zero column goes to the zero weight.
         """
         hsize = self.hsize
-        number: Dict = {}
-        seen, key_runs, col_runs, tables = [], [], [], []
+        seen, run_keys, col_runs, tables = [], [], [], []
         while parts:
             cols, prod = parts.pop()
             cols = np.ravel(cols)
@@ -294,25 +271,25 @@ class _TargetIndex:
             if not prod.terms:
                 continue
             for key in prod.terms:
-                key_runs.append(number.setdefault(key, len(number)))
+                run_keys.append(key)
                 col_runs.append(cols)
             # Scalar-only spaces read each (constant) table at weight 0;
             # the copy keeps only what is read and lets the product go.
             tables.append(np.concatenate(
                 [h.arr.reshape(cols.size, -1)[:, :hsize] for h in prod.terms.values()]
             ))
-        keys = list(number)
-        term_weight = self.engine.term_weight
-        weights = [self.weight_of_key.get(k) or term_weight(k) for k in keys]
+        # Keys are numbered in sorted order, the order of the target basis.
+        keys = sorted(set(run_keys))
+        number = {k: i for i, k in enumerate(keys)}
+        weights = [self.engine.term_weight(k) for k in keys]
         names = sorted(set(weights))
         name_at = {w: i for i, w in enumerate(names)}
         key_weight = np.array([name_at[w] for w in weights], dtype=np.intp)
-        key_offset = np.array([self.key_offset.get(k, -1) for k in keys], dtype=np.intp)
         sizes = [c.size for c in col_runs]
-        key_at = np.repeat(np.array(key_runs, dtype=np.intp), sizes)
+        key_at = np.repeat(np.array([number[k] for k in run_keys], dtype=np.intp), sizes)
         col = np.concatenate([np.zeros(0, dtype=np.intp)] + col_runs)
         values = np.concatenate([np.zeros((0, hsize), dtype=np.int16)] + tables)
-        del col_runs, tables
+        del run_keys, col_runs, tables
         # Nonzero entries, ordered by weight, then column.
         live = np.flatnonzero(values.any(axis=1))
         keep = live[np.lexsort((col[live], key_weight[key_at[live]]))]
@@ -324,7 +301,7 @@ class _TargetIndex:
         taken = col[first]
         if (np.bincount(taken) > 1).any():
             raise ValueError("element is not weight-homogeneous")
-        outside = np.flatnonzero(key_offset[key_at] < 0)
+        outside = np.flatnonzero(~self.holds(keys)[key_at])
         if outside.size:
             k = key_at[outside[0]]
             raise RuntimeError(
@@ -333,9 +310,13 @@ class _TargetIndex:
         out: Dict[Tuple[int, ...], Tuple] = {}
         bounds = np.flatnonzero(np.diff(weight_at, prepend=-1, append=-1))
         for start, stop in zip(bounds[:-1], bounds[1:]):
+            # The block's rows: the keys it meets, numbered in key order.
+            at = key_at[start:stop]
+            rows = np.unique(at)
             out[names[weight_at[start]]] = (
                 col[start:stop][first[start:stop]],
-                key_offset[key_at[start:stop]],
+                [keys[k] for k in rows],
+                np.searchsorted(rows, at),
                 col[start:stop],
                 values[start:stop],
             )
@@ -343,18 +324,15 @@ class _TargetIndex:
         if empty.size:
             zero = (0,) * self.engine.rs.rank
             cols, *entries = out.get(zero) or (
-                empty, key_offset[:0], col[:0], values[:0]
+                empty, [], key_at[:0], col[:0], values[:0]
             )
             out[zero] = (np.union1d(cols, empty), *entries)
         return out
 
-    def block(
-        self, piece: Tuple, weight: Tuple[int, ...]
-    ) -> Tuple[np.ndarray, np.ndarray]:
+    def block(self, piece: Tuple) -> Tuple[np.ndarray, np.ndarray]:
         """Matrix of one weight block from its `split` piece, and the
         column numbers of its columns, which are in increasing order."""
-        cols, offsets, entry_cols, values = piece
-        rows = self.rows_by_weight.get(weight, [])
+        cols, rows, offsets, entry_cols, values = piece
         mat = np.zeros((len(rows), self.hsize, len(cols)), dtype=np.int64)
         mat[offsets, :, np.searchsorted(cols, entry_cols)] = values
         return mat.reshape(-1, len(cols)), cols
@@ -513,7 +491,7 @@ def verify(
     blocks = []
     witness = None
     for w in sorted(pieces):
-        mat, cols = target.block(pieces[w], w)
+        mat, cols = target.block(pieces[w])
         rk = rank_fp(mat, spec.p)
         blocks.append({"weight": list(w), "dim": len(cols), "rank": rk})
         total_rank += rk

@@ -364,19 +364,19 @@ class Engine:
 
     def binom_h_simple(self, i: int, n: int, level: int) -> HPart:
         """Table of the binomial coefficient of the i-th Cartan generator."""
+        side = HPart._shape(self.p, level, self.rs.rank)
         if n >= self.p**level:
             raise InsufficientLevelError(
                 f"binomial degree {n} needs level above {level}"
             )
-        size = self.p**level
-        lut = self._lut(n, level)
         shape = [1] * self.rs.rank
-        shape[i] = size
-        arr = np.broadcast_to(lut.reshape(shape), (size,) * self.rs.rank).copy()
+        shape[i] = self.p**level
+        arr = np.broadcast_to(self._lut(n, level).reshape(shape), side).copy()
         return HPart(arr, self.p, level)
 
     def binom_h_root(self, gamma: Root, c: int, n: int, level: int) -> HPart:
         """Table of binom(h_gamma + c, n) via the coroot expansion of gamma."""
+        HPart._shape(self.p, level, self.rs.rank)  # refuses level < 1
         if n >= self.p**level:
             raise InsufficientLevelError(
                 f"binomial degree {n} needs level above {level}"

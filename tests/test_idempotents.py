@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from hyperalg.frobenius import Frobenius
@@ -42,6 +43,23 @@ def test_indicator_table(label, p, n):
         for idx in enumerate_Xm(eng.rs, p, level):
             expect = 1 if all((idx[i] - lam[i]) % p**n == 0 for i in range(eng.rs.rank)) else 0
             assert h.value(idx) % p == expect
+
+
+@pytest.mark.parametrize("label,p,n", CASES)
+def test_table_matches_binomial_product(label, p, n):
+    # Entry x of the table is the product over i of
+    # binom(x_i - lam_i - 1 mod p^level, p^n - 1), as an int16 table.
+    eng = engine_for(label, p)
+    level = n + 1
+    size = p**level
+    for lam in enumerate_Xm(eng.rs, p, n):
+        h = mu_hpart(eng, lam, n, level)
+        assert h.arr.dtype == np.int16 and h.arr.shape == (size,) * eng.rs.rank
+        for idx in enumerate_Xm(eng.rs, p, level):
+            want = math.prod(
+                lucas_binom((x - l - 1) % size, p**n - 1, p) for x, l in zip(idx, lam)
+            )
+            assert h.value(idx) == want, (lam, idx)
 
 
 @pytest.mark.parametrize("label,p,n", CASES)

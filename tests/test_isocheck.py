@@ -1,5 +1,6 @@
 """Rank harness: exact linear algebra, bases, certification reports."""
 
+import itertools
 import json
 import random
 
@@ -11,7 +12,9 @@ from hyperalg.isocheck import (
     DESK_SPECS,
     STATEMENTS,
     MapSpec,
+    _SPACES,
     _build_columns,
+    _kernel_vector,
     _TargetIndex,
     enumerate_basis,
     rank_fp,
@@ -290,18 +293,20 @@ def test_zero_slice_lands_in_zero_weight_block():
     prod = _batched_part(eng, level, {key: [first, zero, ones]})
     pieces = target.split([(np.array([[7, 2, 5]]), prod)])
     assert set(pieces) == {w, (0,)}
-    cols, offsets, entry_cols, values = pieces[w]
+    cols, rows, offsets, entry_cols, values = pieces[w]
     assert list(cols) == [5, 7] and list(entry_cols) == [5, 7]
-    assert list(offsets) == [target.key_offset[key]] * 2
+    # the block's only key is its only row
+    assert rows == [key] and list(offsets) == [0] * 2
     assert np.array_equal(values, np.stack([ones, first]))
-    cols0, offsets0, entry_cols0, values0 = pieces[(0,)]
-    assert list(cols0) == [2] and offsets0.size == entry_cols0.size == len(values0) == 0
-    mat, cols = target.block(pieces[(0,)], (0,))
-    assert list(cols) == [2] and mat.shape[1] == 1 and not mat.any()
-    mat, cols = target.block(pieces[w], w)
+    cols0, rows0, offsets0, entry_cols0, values0 = pieces[(0,)]
+    assert list(cols0) == [2] and rows0 == []
+    assert offsets0.size == entry_cols0.size == len(values0) == 0
+    mat, cols = target.block(pieces[(0,)])
+    assert list(cols) == [2] and mat.shape == (0, 1)
+    mat, cols = target.block(pieces[w])
     assert list(cols) == [5, 7]
-    base = target.key_offset[key] * target.hsize
-    assert np.array_equal(mat[base : base + 4], np.stack([ones, first], axis=1))
+    assert mat.shape == (target.hsize, 2)
+    assert np.array_equal(mat, np.stack([ones, first], axis=1))
     assert mat.sum() == 6
     # a plain zero product also goes to the zero weight
     pieces = target.split([(3, eng.zero(level))])
@@ -351,7 +356,8 @@ def test_split_refuses_term_outside_target():
 ])
 def test_blocks_match_per_column_coordinates(spec):
     # Each weight block equals the matrix of the per-column products'
-    # coordinates, columns in column order.
+    # coordinates, columns in column order; on these bijective maps its rows
+    # are all the target keys of its weight, in the basis order.
     engine = Engine(build_root_system(spec.system), spec.p)
     level = spec.r + spec.n
     fro = Frobenius(engine)
@@ -361,20 +367,146 @@ def test_blocks_match_per_column_coordinates(spec):
     pieces = target.split(parts)
     left = enumerate_basis(engine, space, spec.r, level)
     right = enumerate_basis(engine, space, spec.n, level)
-    want = {}
+    target_keys = _basis_keys(engine, space, level)
+    columns = {}
     for k in range(len(labels)):
         i, j = divmod(k, len(right))
         col = engine.multiply(left[i][1], fro.fr_prime(right[j][1], spec.r))
         weights = {engine.term_weight(key) for key in col.terms}
         assert len(weights) <= 1
         w = weights.pop() if weights else (0,) * engine.rs.rank
-        vec = np.zeros(len(target.rows_by_weight.get(w, [])) * target.hsize, dtype=np.int64)
-        for key, h in col.terms.items():
-            base = target.key_offset[key] * target.hsize
-            vec[base : base + target.hsize] = h.arr.ravel()[: target.hsize]
-        want.setdefault(w, []).append((k, vec))
-    assert set(pieces) == set(want)
-    for w, entries in want.items():
-        mat, cols = target.block(pieces[w], w)
+        columns.setdefault(w, []).append((k, col))
+    assert set(pieces) == set(columns)
+    for w, entries in columns.items():
+        rows = pieces[w][1]
+        assert rows == [key for key in target_keys if engine.term_weight(key) == w]
+        mat, cols = target.block(pieces[w])
         assert list(cols) == [k for k, _ in entries]
-        assert np.array_equal(mat, np.stack([v for _, v in entries], axis=1))
+        want = _coordinates([col for _, col in entries], rows, target.hsize)
+        assert np.array_equal(mat, want)
+
+
+def _basis_keys(engine, space, depth):
+    """The monomial keys of a truncated space, in basis order."""
+    basis = enumerate_basis(engine, space, depth, depth)
+    return list(dict.fromkeys(key for _, x in basis for key in x.terms))
+
+
+def _coordinates(columns, rows, hsize):
+    """Matrix of the columns' coordinates on the given row keys, hsize
+    entries of each key's table per key."""
+    mat = np.zeros((len(rows) * hsize, len(columns)), dtype=np.int64)
+    for j, col in enumerate(columns):
+        for key, h in col.terms.items():
+            base = rows.index(key) * hsize
+            mat[base : base + hsize, j] = h.arr.ravel()[:hsize]
+    return mat
+
+
+@pytest.mark.parametrize("system,p", [(s, p) for s in ("A1", "A2") for p in (2, 3)])
+def test_target_dimension_matches_basis(system, p):
+    engine = Engine(build_root_system(system), p)
+    for space in _SPACES:
+        for depth in (1, 2) if system == "A1" else (1,):
+            target = _TargetIndex(engine, space, depth, depth)
+            keys = _basis_keys(engine, space, depth)
+            assert target.dim == len(enumerate_basis(engine, space, depth, depth))
+            assert target.holds(keys).all()
+            # a unit exponent holds on the sides the space has; one step past
+            # the truncation holds on neither
+            zero, unit = (0,) * engine.nu, (1,) + (0,) * (engine.nu - 1)
+            past = (p**depth,) + (0,) * (engine.nu - 1)
+            probes = [(zero, unit), (unit, zero), (zero, past), (past, zero)]
+            assert list(target.holds(probes)) == [
+                "e" in _SPACES[space], "f" in _SPACES[space], False, False]
+
+
+def _identity_frobenius(monkeypatch):
+    monkeypatch.setattr(Frobenius, "fr_prime", lambda self, x, r: x)
+
+
+@pytest.mark.parametrize("spec", [
+    MapSpec("Thm4.5-first", "A2", 3, 1, 1),
+    MapSpec("Thm5.5-first", "A1", 2, 1, 1),
+])
+def test_blocks_missing_target_keys_keep_rank_and_kernel(monkeypatch, spec):
+    # With Fr' the identity the products miss some target keys, so some
+    # blocks have fewer rows than the target has keys of their weight.
+    # Against the full-row matrix on the target basis, they keep the rank
+    # and the kernel vector.
+    _identity_frobenius(monkeypatch)
+    engine = Engine(build_root_system(spec.system), spec.p)
+    level = spec.r + spec.n
+    space = _NON_ITERATED[spec.statement]
+    target = _TargetIndex(engine, space, level, level)
+    labels, parts = _build_columns(spec, engine, Frobenius(engine), level)
+    pieces = target.split(parts)
+    left = enumerate_basis(engine, space, spec.r, level)
+    right = enumerate_basis(engine, space, spec.n, level)
+    target_keys = _basis_keys(engine, space, level)
+    short = 0
+    for w, piece in pieces.items():
+        mat, cols = target.block(piece)
+        rows = [key for key in target_keys if engine.term_weight(key) == w]
+        columns = [engine.multiply(left[k // len(right)][1], right[k % len(right)][1])
+                   for k in cols]
+        full = _coordinates(columns, rows, target.hsize)
+        short += len(rows) > len(piece[1])
+        assert rank_fp(mat, spec.p) == rank_fp(full, spec.p)
+        got, want = _kernel_vector(mat, spec.p), _kernel_vector(full, spec.p)
+        assert (got is None) == (want is None)
+        assert want is None or np.array_equal(got, want)
+    assert short
+
+
+# Kernel witnesses of four maps with Fr' the identity, kept as literals:
+# the witness must not depend on which zero rows a block carries.
+_IDENTITY_WITNESSES = [
+    (MapSpec("Thm4.5-first", "A2", 3, 1, 1),
+     [(1, "1 * Fr'^1(e[0 1]^(2))"), (1, "e[0 1]^(1) * Fr'^1(e[0 1]^(1))")]),
+    (MapSpec("Thm5.5-first", "A1", 2, 1, 1),
+     [(1, "mu(0;1) * Fr'^1(f[1]^(1)*mu(0;1))"),
+      (1, "f[1]^(1)*mu(0;1) * Fr'^1(mu(0;1))")]),
+    (MapSpec("Prop5.1-first", "A2", 3, 1, 1),
+     [(1, "mu(0 0;1) * Fr'^1(mu(0 1;1))")]),
+    (MapSpec("Thm4.5-second", "A2", 2, 2),
+     [(1, "Fr'^0(1) * Fr'^1(e[0 1]^(1))"), (1, "Fr'^0(e[0 1]^(1)) * Fr'^1(1)")]),
+]
+
+
+def _identity_columns(spec, engine, level):
+    """Source label -> column of the map with Fr' the identity, each
+    column its own product."""
+    if spec.statement == "Thm4.5-second":
+        basis = enumerate_basis(engine, "plus", 1, level)
+        out = {}
+        for combo in itertools.product(basis, repeat=spec.r):
+            prod = engine.one(level)
+            for _, x in combo:
+                prod = engine.multiply(prod, x)
+            out[" * ".join(f"Fr'^{i}({lab})" for i, (lab, _) in enumerate(combo))] = prod
+        return out
+    space = _NON_ITERATED[spec.statement]
+    left = enumerate_basis(engine, space, spec.r, level)
+    right = enumerate_basis(engine, space, spec.n, level)
+    return {
+        f"{lx} * Fr'^{spec.r}({ly})": engine.multiply(x, y)
+        for lx, x in left
+        for ly, y in right
+    }
+
+
+@pytest.mark.parametrize("spec,witness", _IDENTITY_WITNESSES)
+def test_kernel_witness_is_a_kernel_vector(monkeypatch, spec, witness):
+    _identity_frobenius(monkeypatch)
+    rep = verify(spec)
+    assert not rep.bijective
+    assert rep.kernel_witness == witness
+    engine = Engine(build_root_system(spec.system), spec.p)
+    level = spec.r if spec.statement == "Thm4.5-second" else spec.r + spec.n
+    columns = _identity_columns(spec, engine, level)
+    total = engine.zero(level)
+    for c, label in rep.kernel_witness:
+        assert c % spec.p
+        total = total.add(columns[label].scale(c))
+    assert rep.kernel_witness and total.is_zero()

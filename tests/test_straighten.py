@@ -425,6 +425,19 @@ def test_binom_h_root_matches_direct_construction():
                 assert np.array_equal(fresh.binom_h_root(gamma, c, n, level).arr, want)
 
 
+
+@pytest.mark.parametrize("build", [
+    lambda eng: eng.binom_h_simple(0, 0, 0),
+    lambda eng: eng.binom_h_root((1, 0), 0, 0, 0),
+], ids=["binom_h_simple", "binom_h_root"])
+def test_binomial_tables_refuse_level_zero(build):
+    # the same refusal as an HPart of level 0, not a level-0 table
+    eng = engine_for("A2", 2)
+    with pytest.raises(ValueError, match="torus level 0 must be at least 1"):
+        HPart.ones(2, 0, eng.rs.rank)
+    with pytest.raises(ValueError, match="torus level 0 must be at least 1"):
+        build(eng)
+
 def test_exps_weight_is_the_grading():
     for label in SYSTEMS:
         eng = engine_for(label, 2)
