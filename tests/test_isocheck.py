@@ -409,9 +409,9 @@ def test_target_dimension_matches_basis(system, p):
     for space in _SPACES:
         for depth in (1, 2) if system == "A1" else (1,):
             target = _TargetIndex(engine, space, depth, depth)
-            keys = _basis_keys(engine, space, depth)
-            assert target.dim == len(enumerate_basis(engine, space, depth, depth))
-            assert target.holds(keys).all()
+            basis = enumerate_basis(engine, space, depth, depth)
+            assert target.dim == len(basis)
+            assert target.holds([key for _, x in basis for key in x.terms]).all()
             # a unit exponent holds on the sides the space has; one step past
             # the truncation holds on neither
             zero, unit = (0,) * engine.nu, (1,) + (0,) * (engine.nu - 1)
