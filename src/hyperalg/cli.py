@@ -245,7 +245,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             if args.all_desk:
                 specs = DESK_SPECS
             else:
-                if not (args.statement and args.type and args.p):
+                if not (args.statement and args.type) or args.p is None:
                     parser.error("verify needs --statement, --type, --p (or --all-desk)")
                 specs = [MapSpec(args.statement, args.type, args.p, args.r, args.n)]
             reports = [verify(s) for s in specs]

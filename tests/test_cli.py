@@ -105,6 +105,15 @@ def test_verify_requires_arguments(capsys):
         main(["verify"])
 
 
+@pytest.mark.parametrize("p", ["0", "1"])
+def test_verify_rejects_non_prime(capsys, p):
+    code = main(["verify", "--statement", "Thm4.5-first", "--type", "A2", "--p", p])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == f"error: p={p} is not a prime\n"
+
+
 def test_parse_error_exit_code(capsys):
     code = main(["normalize", "e[9 9]^(1)", "--type", "A2", "--p", "2",
                  "--level", "1"])

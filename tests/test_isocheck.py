@@ -7,6 +7,7 @@ import random
 import numpy as np
 import pytest
 
+from hyperalg import isocheck
 from hyperalg.frobenius import Frobenius
 from hyperalg.isocheck import (
     DESK_SPECS,
@@ -21,6 +22,7 @@ from hyperalg.isocheck import (
     sabotaged_engine,
     verify,
 )
+from hyperalg.linalg import peel
 from hyperalg.qoracle import QOracle
 from hyperalg.rootdata import build_root_system
 from hyperalg.straighten import Engine, HPart, PBWElement
@@ -510,3 +512,54 @@ def test_kernel_witness_is_a_kernel_vector(monkeypatch, spec, witness):
         assert c % spec.p
         total = total.add(columns[label].scale(c))
     assert rep.kernel_witness and total.is_zero()
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_entries_skip_multiples_of_p(p):
+    # A table value p (or 2p) is zero mod p: no live entry, so no pivot.
+    eng = Engine(build_root_system("A1"), p)
+    target = _TargetIndex(eng, "full", 2, 2)
+    key = ((0,), (1,))
+    values = np.zeros((2, target.hsize), dtype=np.int16)
+    values[0, :2] = [1, p]
+    values[1, 1:3] = [p - 1, 2 * p]
+    piece = (np.array([3, 8]), [key], np.array([0, 0]), np.array([3, 8]), values)
+    rows, cols, residues = target.entries(piece)
+    assert sorted(zip(rows.tolist(), cols.tolist(), residues.tolist())) == [
+        (0, 0, 1), (1, 1, p - 1)]
+    mat, _ = target.block(piece)
+    assert all(mat[r, c] % p == v for r, c, v in zip(rows, cols, residues))
+    pivots, left_rows, left_cols = peel(rows, cols, *mat.shape)
+    assert sorted(map(tuple, pivots.tolist())) == [(0, 0), (1, 1)]
+    assert not left_rows.size and not left_cols.size
+    assert len(pivots) == rank_fp(mat, p)
+
+
+def _report(spec, engine=None):
+    out = verify(spec, engine=engine).to_dict()
+    del out["elapsed_ms"]
+    return out
+
+
+@pytest.mark.parametrize("spec,sabotaged,identity", [
+    (MapSpec("Thm4.5-first", "A2", 3, 1, 1), False, False),
+    (MapSpec("Thm5.5-first", "A1", 2, 1, 1), False, False),
+    (MapSpec("Thm4.5-first", "A2", 3, 1, 1), True, False),
+] + [(spec, False, True) for spec, _ in _IDENTITY_WITNESSES])
+def test_dense_leftover_path_gives_the_same_report(monkeypatch, spec, sabotaged, identity):
+    # With nothing peeled, every block goes whole through rank_fp, the
+    # leftover path; the report must equal the peeled one.
+    if identity:
+        _identity_frobenius(monkeypatch)
+
+    def engine():
+        return sabotaged_engine(spec.system, spec.p) if sabotaged else None
+
+    peeled = _report(spec, engine())
+    monkeypatch.setattr(
+        isocheck, "peel",
+        lambda rows, cols, n_rows, n_cols: (
+            np.zeros((0, 2), dtype=np.intp), np.unique(rows), np.unique(cols)),
+    )
+    assert _report(spec, engine()) == peeled
+    assert identity == (peeled.get("kernel_witness") is not None)
