@@ -27,7 +27,6 @@ from .idempotents import mu_lambda
 from .isocheck import (
     DESK_SPECS,
     MapSpec,
-    VerificationReport,
     enumerate_basis,
     verify,
 )
@@ -55,7 +54,6 @@ def parse_element(text: str, engine: Engine, level: int) -> PBWElement:
     out = engine.zero(level)
     for term_text in text.split("+"):
         term = engine.one(level)
-        pos = 0
         stripped = term_text.strip()
         if not stripped:
             raise ParseError(f"empty term in {text!r}")
@@ -91,7 +89,6 @@ def parse_element(text: str, engine: Engine, level: int) -> PBWElement:
                 n = int(m.group("mulev"))
                 term = engine.multiply(term, mu_lambda(engine, lam, n, level))
             first = False
-            pos += len(piece) + 1
         out = out.add(term)
     return out
 

@@ -16,10 +16,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 from .linalg import row_reduce
-from .rootdata import Root, RootSystem
+from .rootdata import Root
 from .straighten import Engine, HPart, InsufficientLevelError, PBWElement, exps_sum
 
 # A word is a product of simple-root divided powers, stored as a tuple of

@@ -17,20 +17,24 @@ largest stretch block would take 38 MB as int64.  The stretch case takes
 about 1.25 s, against 4.8 s with a dense rank of every block (benchmark
 medians on a 2-core Intel Xeon VM).
 
-Columns are built in batches.  A non-iterated map sends x (x) y to
-x * Fr'^r(y), and basis elements f^(a) mu(lam) e^(b) that share their
-monomial key (a, b) differ only in their torus table.  The product is
-linear in each table, so `_build_columns` stacks the tables of one key
-along a batch axis, (L, 1) on the left and (1, L') on the Frobenius
-images on the right, and one `Engine.multiply` per pair of keys gives all
-L * L' columns of the pair: column [s, t] is slice [s, t] of every table
-of the product.  Keys held by one basis element (the raising and lowering
-spaces) and the iterated statements keep plain tables, one product per
-column.  `_TargetIndex.split` then gathers the nonzero term tables of
-every column of every product, plain or batched, into flat arrays and
-cuts them into weight blocks in one sorted pass.  `_TargetIndex.entries`
-reads a block's live entries from its share, and `_TargetIndex.block`
-writes its dense matrix for a kernel witness.
+Every map is a product of factors, listed by `_factors` as pairs
+(truncation depth, power of Fr'): a two-factor map sends x (x) y to
+x * Fr'^r(y), an iterated one x_0 (x) ... (x) x_{r-1} to
+Fr'^0(x_0) * ... * Fr'^{r-1}(x_{r-1}).  Columns are built in batches.
+Basis elements f^(a) mu(lam) e^(b) that share their monomial key (a, b)
+differ only in their torus table, and the product is linear in each
+table, so `_build_columns` stacks the images of one key group of a
+factor along a batch axis, (1, R), and folds the factors left to right:
+the products so far, reshaped to batch (L, 1), times each stack give all
+L * R columns of the pair in one `Engine.multiply`, column [s, t] being
+slice [s, t] of every table of the product.  A group of one gets a batch
+axis too.  Each factor's images are checked against the target as they
+are made, so a map that leaves its target is refused before any column
+product.  `_TargetIndex.split` then gathers the
+nonzero term tables of every column of every product into flat arrays
+and cuts them into weight blocks in one sorted pass.
+`_TargetIndex.entries` reads a block's live entries from its share, and
+`_TargetIndex.block` writes its dense matrix for a kernel witness.
 
 No index of the target's rows is built in advance: `split` takes each
 block's rows from the products, in sorted key order, the order of the
@@ -43,8 +47,9 @@ from __future__ import annotations
 import json
 import time
 
-from dataclasses import dataclass, field
-from itertools import product as iproduct
+from dataclasses import dataclass
+from functools import reduce
+from itertools import islice, product as iproduct
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -69,8 +74,8 @@ _STATEMENT_SPACE = {
     "Minus-variant": "minus-borel",
 }
 STATEMENTS = tuple(_STATEMENT_SPACE)
-# Statements whose map multiplies r Frobenius images of depth-1 bases, so
-# that the target has depth r (the others: depth r + n).
+# Statements whose map multiplies r Frobenius images of depth-1 bases (the
+# others multiply a depth-r basis by the Fr'^r images of a depth-n one).
 _ITERATED = frozenset({"Thm4.5-second", "Prop5.1-second", "Thm5.5-second"})
 
 
@@ -87,6 +92,10 @@ class MapSpec:
             raise ValueError(f"unknown statement {self.statement!r}")
         if self.r < 1 or self.n < 1:
             raise ValueError(f"depths r={self.r}, n={self.n} must be at least 1")
+        if self.statement in _ITERATED and self.n != 1:
+            raise ValueError(
+                f"{self.statement} multiplies depth-1 factors only; n={self.n} must be 1"
+            )
 
 
 @dataclass
@@ -241,7 +250,7 @@ class _TargetIndex:
     and reduced form are unchanged.
     """
 
-    def __init__(self, engine: Engine, space: str, depth: int, level: int):
+    def __init__(self, engine: Engine, space: str, depth: int):
         if space not in _SPACES:
             raise ValueError(f"unknown space {space!r}")
         self.engine = engine
@@ -250,8 +259,8 @@ class _TargetIndex:
         self.sides = np.array([["f" in factors], ["e" in factors]])
         self.size = engine.p**depth
         # Pure-sign spaces carry a scalar per monomial; the rest carry a
-        # full torus table per monomial.
-        self.hsize = (engine.p**level) ** engine.rs.rank if "h" in factors else 1
+        # full torus table per monomial, at the target's torus level.
+        self.hsize = self.size**engine.rs.rank if "h" in factors else 1
         self.dim = self.size ** (engine.nu * int(self.sides.sum())) * self.hsize
 
     def holds(self, keys: Sequence) -> np.ndarray:
@@ -376,9 +385,9 @@ def _stack(
     engine: Engine, xs: Sequence[PBWElement], batch: Tuple[int, ...]
 ) -> PBWElement:
     """One element whose tables hold those of xs along batch axes of the
-    given shape, a zero table standing in for a key that an x lacks."""
-    if not batch:
-        return xs[0]
+    given shape, a zero table standing in for a key that an x lacks.  A
+    single x may carry batch axes already; they are reshaped to the new
+    ones, in order."""
     level = xs[0].level
     side = (engine.p**level,) * engine.rs.rank
     zero = np.zeros(side, dtype=np.int16)
@@ -389,101 +398,82 @@ def _stack(
     return PBWElement(engine, level, terms)
 
 
+def _factors(spec: MapSpec) -> List[Tuple[int, Optional[int]]]:
+    """The map's factors in source order, as (truncation depth, power of
+    Fr'): the map sends x_0 (x) x_1 (x) ... to the product of the images
+    Fr'^k(x_i), a power None leaving its factor unsplit."""
+    if spec.statement in _ITERATED:
+        return [(1, i) for i in range(spec.r)]
+    return [(spec.r, None), (spec.n, spec.r)]
+
+
+def _image(fro: Frobenius, x: PBWElement, power: Optional[int]) -> PBWElement:
+    return x if power is None else fro.fr_prime(x, power)
+
+
 def _build_columns(spec: MapSpec, engine: Engine, fro: Frobenius, level: int):
     """The map's columns, as (labels, parts).
 
     labels are the source labels in column order.  Each part is (cols,
-    product): either cols is an array and column cols[s, t] is slice
-    [s, t] of every torus table of the product, which carries cols.shape
-    as leading batch axes, or cols is a column number and the product is
-    that column, with plain tables.
+    product), cols a 2-D array: column cols[s, t] is slice [s, t] of
+    every torus table of the product, which carries cols.shape as leading
+    batch axes.  A term of a factor's images outside the target raises
+    RuntimeError before any product is made.
     """
-    r, n = spec.r, spec.n
     space = _STATEMENT_SPACE[spec.statement]
-    labels: List[str] = []
-    parts = []
-    if spec.statement in _ITERATED:
-        basis1 = enumerate_basis(engine, space, 1, level)
-        images = [
-            [(lab, fro.fr_prime(x, i)) for lab, x in basis1] for i in range(r)
-        ]
-        for combo in iproduct(*[range(len(basis1)) for _ in range(r)]):
-            prod = engine.one(level)
-            names = []
-            for i, j in enumerate(combo):
-                lab, img = images[i][j]
-                prod = engine.multiply(prod, img)
-                names.append(f"Fr'^{i}({lab})")
-            parts.append((len(labels), prod))
-            labels.append(" * ".join(names))
-        return labels, parts
-    left = enumerate_basis(engine, space, r, level)
-    right = enumerate_basis(engine, space, n, level)
-    labels = [f"{lx} * Fr'^{r}({ly})" for lx, _ in left for ly, _ in right]
-    left_groups = _basis_groups(left)
-    right_groups = _basis_groups(right)
-    batched = max(map(len, left_groups + right_groups)) > 1
-    right_img = []
-    for group in right_groups:
-        imgs = [fro.fr_prime(right[j][1], r) for j in group]
-        ys = _stack(engine, imgs, (1, len(group)) if batched else ())
-        right_img.append((group, ys))
-    for group in left_groups:
-        xs = [left[i][1] for i in group]
-        xs = _stack(engine, xs, (len(group), 1) if batched else ())
-        for right_group, ys in right_img:
-            if batched:
-                cols = np.add.outer(np.multiply(group, len(right)), right_group)
-            else:
-                cols = group[0] * len(right) + right_group[0]
-            parts.append((cols, engine.multiply(xs, ys)))
+    holds = _TargetIndex(engine, space, level).holds
+    names, factors = [], []
+    for depth, power in _factors(spec):
+        basis = enumerate_basis(engine, space, depth, level)
+        images = [_image(fro, x, power) for _, x in basis]
+        keys = [key for y in images for key in y.terms]
+        outside = np.flatnonzero(~holds(keys))
+        if outside.size:
+            key = keys[outside[0]]
+            raise RuntimeError(
+                f"term {key} falls outside its weight block {engine.term_weight(key)}"
+            )
+        names.append([lab if power is None else f"Fr'^{power}({lab})" for lab, _ in basis])
+        factors.append((len(basis), [
+            (group, _stack(engine, [images[j] for j in group], (1, len(group))))
+            for group in _basis_groups(basis)
+        ]))
+    labels = [" * ".join(combo) for combo in iproduct(*names)]
+    # Fold the factors into column products, from the first factor's
+    # stacks: the products so far, as batch (L, 1), times each key group of
+    # the next factor's images, as (1, R).
+    parts = [(np.array([group]), ys) for group, ys in factors[0][1]]
+    for size, stacks in factors[1:]:
+        folded = []
+        for cols, prod in parts:
+            xs = _stack(engine, [prod], (cols.size, 1))
+            folded += [(np.add.outer(cols.ravel() * size, group), engine.multiply(xs, ys))
+                       for group, ys in stacks]
+        parts = folded
     return labels, parts
 
 
 def _check_multiplicative(
     spec: MapSpec, engine: Engine, fro: Frobenius, level: int, cap: int = 6
 ) -> bool:
-    """The torus maps are algebra maps: compare products of images with
-    images of products on basis pairs."""
-    r, n = spec.r, spec.n
-    if spec.statement == "Prop5.1-second":
-        bases = [enumerate_basis(engine, "zero", 1, level) for _ in range(r)]
-        combos = list(iproduct(*[range(len(b)) for b in bases]))[:cap]
+    """The torus maps are algebra maps: on the first cap^2 source tuples
+    against the first cap, the product of two images is the image of the
+    factorwise product."""
+    factors = _factors(spec)
+    bases = [[x for _, x in enumerate_basis(engine, "zero", depth, level)]
+             for depth, _ in factors]
 
-        def image(combo):
-            prod = engine.one(level)
-            for i, j in enumerate(combo):
-                prod = engine.multiply(prod, fro.fr_prime(bases[i][j][1], i))
-            return prod
+    def image(xs):
+        return reduce(engine.multiply, [
+            _image(fro, x, power) for x, (_, power) in zip(xs, factors)
+        ])
 
-        def source_product(c1, c2):
-            return tuple(
-                (bases[i][c1[i]][1], bases[i][c2[i]][1]) for i in range(r)
-            )
-
-        for c1 in combos:
-            for c2 in combos:
-                lhs = engine.multiply(image(c1), image(c2))
-                rhs = engine.one(level)
-                for i, (u, v) in enumerate(source_product(c1, c2)):
-                    rhs = engine.multiply(rhs, fro.fr_prime(engine.multiply(u, v), i))
-                if not lhs.equals(rhs):
-                    return False
-        return True
-    left = enumerate_basis(engine, "zero", r, level)
-    right = enumerate_basis(engine, "zero", n, level)
-    pairs = [(x, y) for _, x in left for _, y in right][: cap * cap]
-    for x1, y1 in pairs:
-        for x2, y2 in pairs[:cap]:
-            lhs = engine.multiply(
-                engine.multiply(x1, fro.fr_prime(y1, r)),
-                engine.multiply(x2, fro.fr_prime(y2, r)),
-            )
-            rhs = engine.multiply(
-                engine.multiply(x1, x2),
-                fro.fr_prime(engine.multiply(y1, y2), r),
-            )
-            if not lhs.equals(rhs):
+    tuples = list(islice(iproduct(*bases), cap * cap))
+    images = [image(xs) for xs in tuples]
+    for xs, lhs in zip(tuples, images):
+        for ys, rhs in zip(tuples[:cap], images[:cap]):
+            product = image([engine.multiply(x, y) for x, y in zip(xs, ys)])
+            if not engine.multiply(lhs, rhs).equals(product):
                 return False
     return True
 
@@ -496,17 +486,16 @@ def verify(
     """Certify one statement by exact blockwise rank computation."""
     t0 = time.monotonic()
     rs = build_root_system(spec.system)
-    depth = spec.r if spec.statement in _ITERATED else spec.r + spec.n
-    level = depth
+    depth = max(d + (power or 0) for d, power in _factors(spec))
     if engine is None:
         engine = Engine(rs, spec.p)
     space = _STATEMENT_SPACE[spec.statement]
-    target = _TargetIndex(engine, space, depth, level)
+    target = _TargetIndex(engine, space, depth)
     # A bijective map has as many columns as the target has rows.
     if target.dim > column_cap:
         raise ValueError(f"{target.dim} columns exceed the cap {column_cap}")
     fro = Frobenius(engine)
-    labels, parts = _build_columns(spec, engine, fro, level)
+    labels, parts = _build_columns(spec, engine, fro, depth)
     source_dim = len(labels)
     if source_dim != target.dim:
         raise RuntimeError(
@@ -541,7 +530,7 @@ def verify(
     bijective = total_rank == source_dim
     multiplicative = None
     if spec.statement in ("Prop5.1-first", "Prop5.1-second"):
-        multiplicative = _check_multiplicative(spec, engine, fro, level)
+        multiplicative = _check_multiplicative(spec, engine, fro, depth)
     return VerificationReport(
         statement=spec.statement,
         system=spec.system,
@@ -599,7 +588,3 @@ DESK_SPECS: List[MapSpec] = [
     MapSpec("Minus-variant", "A2", 2, 1, 1),
     MapSpec("Minus-variant", "B2", 2, 1, 1),
 ]
-
-
-def run_all_desk(column_cap: int = 2**16) -> List[VerificationReport]:
-    return [verify(spec, column_cap=column_cap) for spec in DESK_SPECS]

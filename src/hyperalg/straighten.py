@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .chevalley import StructureConstants
 from .linalg import row_reduce

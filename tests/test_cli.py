@@ -114,6 +114,16 @@ def test_verify_rejects_non_prime(capsys, p):
     assert captured.err == f"error: p={p} is not a prime\n"
 
 
+def test_verify_rejects_n_on_iterated_statement(capsys):
+    code = main(["verify", "--statement", "Prop5.1-second", "--type", "A2",
+                 "--p", "2", "--r", "2", "--n", "3"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == (
+        "error: Prop5.1-second multiplies depth-1 factors only; n=3 must be 1\n")
+
+
 def test_parse_error_exit_code(capsys):
     code = main(["normalize", "e[9 9]^(1)", "--type", "A2", "--p", "2",
                  "--level", "1"])

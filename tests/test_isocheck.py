@@ -3,6 +3,7 @@
 import itertools
 import json
 import random
+import re
 
 import numpy as np
 import pytest
@@ -80,6 +81,16 @@ def test_mapspec_validation():
     assert set(s.statement for s in DESK_SPECS) <= set(STATEMENTS)
 
 
+def test_mapspec_refuses_n_on_iterated_statements():
+    # An iterated map multiplies depth-1 factors; an n it never reads
+    # would only show up, unused, in the report.
+    for stmt in _ITERATED_STATEMENTS:
+        with pytest.raises(ValueError, match="n=3 must be 1"):
+            MapSpec(stmt, "A2", 2, 2, 3)
+        assert MapSpec(stmt, "A2", 2, 2).n == 1
+    assert MapSpec("Prop5.1-first", "A2", 2, 1, 3).n == 3
+
+
 def test_verify_a1_products_bijective():
     # the raising-algebra statement: source is U_1^+ x U_1^+, target U_2^+
     rep = verify(MapSpec("Thm4.5-first", "A1", 2, 1, 1))
@@ -103,6 +114,19 @@ def test_verify_iterated_statement():
     assert rep.bijective
     # the iterated source has the dimension of the depth-r truncation
     assert rep.source_dim == 2**2
+
+
+def test_scaled_torus_splitting_is_not_multiplicative(monkeypatch):
+    # Fr' on the torus doubled: still bijective, as 2 is a unit mod 3, but a
+    # product of two images carries 2^(2k) against 2^k for the image of the
+    # product, k the number of split factors.  These agree mod 3 for even k,
+    # so the iterated map is taken at r = 3.
+    fr_prime_zero = Frobenius.fr_prime_zero
+    monkeypatch.setattr(
+        Frobenius, "fr_prime_zero", lambda self, h, r=1: fr_prime_zero(self, h, r).scale(2))
+    for spec in (MapSpec("Prop5.1-first", "A2", 3, 1, 1), MapSpec("Prop5.1-second", "A1", 3, 3)):
+        rep = verify(spec)
+        assert rep.bijective and rep.multiplicative is False
 
 
 def test_column_cap_enforced(monkeypatch):
@@ -185,13 +209,17 @@ def test_rank_fp_p2_matches_reference():
 
 # -- batched column building -----------------------------------------------
 
-_NON_ITERATED = {
-    "Thm4.5-first": "plus",
-    "Prop5.1-first": "zero",
-    "Borel-variant": "borel",
-    "Minus-variant": "minus-borel",
-    "Thm5.5-first": "full",
-}
+_ITERATED_STATEMENTS = ("Thm4.5-second", "Prop5.1-second", "Thm5.5-second")
+
+
+def _source_factors(spec):
+    """The map's factors as (truncation depth, power of Fr'), None for a
+    factor that enters unsplit, and its target depth."""
+    if spec.statement in _ITERATED_STATEMENTS:
+        factors = [(1, k) for k in range(spec.r)]
+    else:
+        factors = [(spec.r, None), (spec.n, spec.r)]
+    return factors, max(d + (k or 0) for d, k in factors)
 
 
 def _split_columns(labels, parts):
@@ -214,21 +242,28 @@ def _split_columns(labels, parts):
 
 
 def _assert_batched_matches_per_column(spec, engine, sample=None):
-    level = spec.r + spec.n
+    # Column k is the product of Fr'^k(x_k) over the source tuple of
+    # column k, the first factor most significant.
+    factors, level = _source_factors(spec)
     fro = Frobenius(engine)
     labels, parts = _build_columns(spec, engine, fro, level)
     batched = _split_columns(labels, parts)
-    space = _NON_ITERATED[spec.statement]
-    left = enumerate_basis(engine, space, spec.r, level)
-    right = enumerate_basis(engine, space, spec.n, level)
-    assert len(labels) == len(left) * len(right)
+    space = isocheck._STATEMENT_SPACE[spec.statement]
+    bases = [enumerate_basis(engine, space, d, level) for d, _ in factors]
+    sizes = [len(b) for b in bases]
+    assert len(labels) == np.prod(sizes)
     picks = range(len(labels))
     if sample is not None and len(labels) > sample:
         picks = sorted(random.Random(31).sample(picks, sample) + [0, len(labels) - 1])
     for k in picks:
-        i, j = divmod(k, len(right))
-        assert labels[k] == f"{left[i][0]} * Fr'^{spec.r}({right[j][0]})"
-        want = engine.multiply(left[i][1], fro.fr_prime(right[j][1], spec.r))
+        names, want = [], engine.one(level)
+        for (_, power), basis, i in zip(factors, bases, np.unravel_index(k, sizes)):
+            lab, x = basis[i]
+            if power is not None:
+                lab, x = f"Fr'^{power}({lab})", fro.fr_prime(x, power)
+            names.append(lab)
+            want = engine.multiply(want, x)
+        assert labels[k] == " * ".join(names)
         got = batched[k]
         assert set(got) == set(want.terms), (spec, k)
         for key, h in want.terms.items():
@@ -237,27 +272,45 @@ def _assert_batched_matches_per_column(spec, engine, sample=None):
     return labels, parts
 
 
+def _column_count(spec):
+    """p^(depth * k), k the exponents and torus coordinates of one basis
+    element of the target space, on A1 (nu=1, rank 1) or A2 (nu=3, rank 2)."""
+    nu, rank = {"A1": (1, 1), "A2": (3, 2)}[spec.system]
+    space = isocheck._STATEMENT_SPACE[spec.statement]
+    k = sum({"f": nu, "e": nu, "h": rank}[c] for c in _SPACES[space])
+    return spec.p ** (_source_factors(spec)[1] * k)
+
+
+# Every statement on A1 and A2, p = 2 and 3, iterated ones at r = 2 and 3
+# (r in their test id), built in full up to 4096 columns; larger ones are
+# sampled below.
 _SMALL_CASES = [
-    (stmt, system, p)
-    for stmt in _NON_ITERATED
-    for system in ("A1", "A2")
-    for p in (2, 3)
-    # A2 Borel at p=3 (59049 columns) and A2 full (65536 columns at p=2)
-    # are sampled below; A2 full at p=3 has 3^16 columns.
-    if system == "A1"
-    or stmt in ("Thm4.5-first", "Prop5.1-first")
-    or (p == 2 and stmt != "Thm5.5-first")
+    pytest.param(
+        spec.statement, spec.system, spec.p, spec.r,
+        id="-".join(map(str, (spec.statement, spec.system, spec.p)
+                         + ((spec.r,) if spec.statement in _ITERATED_STATEMENTS else ()))),
+    )
+    for spec in (
+        MapSpec(stmt, system, p, r)
+        for stmt in STATEMENTS
+        for system in ("A1", "A2")
+        for p in (2, 3)
+        for r in ((2, 3) if stmt in _ITERATED_STATEMENTS else (1,))
+    )
+    if _column_count(spec) <= 4096
 ]
 
 
-@pytest.mark.parametrize("statement,system,p", _SMALL_CASES)
-def test_batched_columns_match_per_column(statement, system, p):
-    spec = MapSpec(statement, system, p, 1, 1)
+@pytest.mark.parametrize("statement,system,p,r", _SMALL_CASES)
+def test_batched_columns_match_per_column(statement, system, p, r):
+    spec = MapSpec(statement, system, p, r, 1)
     engine = Engine(build_root_system(system), p)
     labels, parts = _assert_batched_matches_per_column(spec, engine)
-    # a key held by one basis element keeps plain tables, one product per column
-    assert (len(parts) == len(labels)) == (statement == "Thm4.5-first")
-    assert all((np.ndim(idx) == 0) == (statement == "Thm4.5-first") for idx, _ in parts)
+    # every part is batched, a key group of one included: its column numbers
+    # form a 2-D array, the leading batch axes of every table of its product
+    for idx, prod in parts:
+        assert np.ndim(idx) == 2
+        assert all(h.arr.shape[:2] == idx.shape for h in prod.terms.values())
 
 
 @pytest.mark.parametrize("spec", [
@@ -265,6 +318,8 @@ def test_batched_columns_match_per_column(statement, system, p):
     MapSpec("Minus-variant", "A2", 3, 1, 1),
     MapSpec("Thm5.5-first", "A2", 2, 1, 1),
     MapSpec("Thm5.5-first", "A1", 2, 1, 2),
+    MapSpec("Thm5.5-second", "A2", 2, 2),
+    MapSpec("Thm5.5-second", "A1", 3, 3),
 ])
 def test_batched_columns_match_per_column_sampled(spec):
     engine = Engine(build_root_system(spec.system), spec.p)
@@ -272,8 +327,9 @@ def test_batched_columns_match_per_column_sampled(spec):
 
 
 def test_batched_columns_on_sabotaged_engine():
-    spec = MapSpec("Borel-variant", "A2", 3, 1, 1)
-    _assert_batched_matches_per_column(spec, sabotaged_engine("A2", 3), sample=150)
+    for spec in (MapSpec("Borel-variant", "A2", 3, 1, 1), MapSpec("Thm5.5-second", "A2", 2, 2)):
+        _assert_batched_matches_per_column(
+            spec, sabotaged_engine(spec.system, spec.p), sample=150)
 
 
 def _batched_part(eng, level, tables):
@@ -286,7 +342,7 @@ def _batched_part(eng, level, tables):
 def test_zero_slice_lands_in_zero_weight_block():
     eng = Engine(build_root_system("A1"), 2)
     level = 2
-    target = _TargetIndex(eng, "full", level, level)
+    target = _TargetIndex(eng, "full", level)
     key = ((0,), (1,))  # e^(1): weight 2
     w = eng.term_weight(key)
     ones = np.ones((4,), dtype=np.int16)
@@ -318,7 +374,7 @@ def test_zero_slice_lands_in_zero_weight_block():
 def test_split_refuses_mixed_weights_per_slice():
     eng = Engine(build_root_system("A1"), 2)
     level = 2
-    target = _TargetIndex(eng, "full", level, level)
+    target = _TargetIndex(eng, "full", level)
     ones = np.ones((4,), dtype=np.int16)
     zero = np.zeros((4,), dtype=np.int16)
     e1, f1 = ((0,), (1,)), ((1,), (0,))
@@ -333,10 +389,30 @@ def test_split_refuses_mixed_weights_per_slice():
         target.split([(np.array([[0, 1]]), prod)])
 
 
+def test_term_outside_target_refused_before_column_products(monkeypatch):
+    # With Fr' one step too deep, Fr'^2 of e[0 1]^(1) is e[0 1]^(9), past
+    # the depth-2 truncation.  Column products multiply batched tables, the
+    # splitting only plain ones: none may be made before the refusal.
+    fr_prime = Frobenius.fr_prime
+    monkeypatch.setattr(Frobenius, "fr_prime", lambda self, x, r: fr_prime(self, x, r + 1))
+    multiply = Engine.multiply
+
+    def plain_only(self, x, y):
+        batched = [h.arr.shape for z in (x, y) for h in z.terms.values()
+                   if h.arr.ndim > self.rs.rank]
+        assert not batched, f"column product made on tables {batched}"
+        return multiply(self, x, y)
+
+    monkeypatch.setattr(Engine, "multiply", plain_only)
+    with pytest.raises(RuntimeError, match=re.escape(
+            "term ((0, 0, 0), (0, 0, 9)) falls outside its weight block (-9, 18)")):
+        verify(MapSpec("Thm4.5-first", "A2", 3, 1, 1))
+
+
 def test_split_refuses_term_outside_target():
     eng = Engine(build_root_system("A1"), 2)
     level = 1
-    target = _TargetIndex(eng, "plus", level, level)
+    target = _TargetIndex(eng, "plus", level)
     key = ((0,), (2,))  # e^(2) lies outside the depth-1 truncation
     prod = eng.monomial(*key, None, level)
     with pytest.raises(RuntimeError, match="outside its weight block"):
@@ -363,8 +439,8 @@ def test_blocks_match_per_column_coordinates(spec):
     engine = Engine(build_root_system(spec.system), spec.p)
     level = spec.r + spec.n
     fro = Frobenius(engine)
-    space = _NON_ITERATED[spec.statement]
-    target = _TargetIndex(engine, space, level, level)
+    space = isocheck._STATEMENT_SPACE[spec.statement]
+    target = _TargetIndex(engine, space, level)
     labels, parts = _build_columns(spec, engine, fro, level)
     pieces = target.split(parts)
     left = enumerate_basis(engine, space, spec.r, level)
@@ -410,7 +486,7 @@ def test_target_dimension_matches_basis(system, p):
     engine = Engine(build_root_system(system), p)
     for space in _SPACES:
         for depth in (1, 2) if system == "A1" else (1,):
-            target = _TargetIndex(engine, space, depth, depth)
+            target = _TargetIndex(engine, space, depth)
             basis = enumerate_basis(engine, space, depth, depth)
             assert target.dim == len(basis)
             assert target.holds([key for _, x in basis for key in x.terms]).all()
@@ -439,8 +515,8 @@ def test_blocks_missing_target_keys_keep_rank_and_kernel(monkeypatch, spec):
     _identity_frobenius(monkeypatch)
     engine = Engine(build_root_system(spec.system), spec.p)
     level = spec.r + spec.n
-    space = _NON_ITERATED[spec.statement]
-    target = _TargetIndex(engine, space, level, level)
+    space = isocheck._STATEMENT_SPACE[spec.statement]
+    target = _TargetIndex(engine, space, level)
     labels, parts = _build_columns(spec, engine, Frobenius(engine), level)
     pieces = target.split(parts)
     left = enumerate_basis(engine, space, spec.r, level)
@@ -488,7 +564,7 @@ def _identity_columns(spec, engine, level):
                 prod = engine.multiply(prod, x)
             out[" * ".join(f"Fr'^{i}({lab})" for i, (lab, _) in enumerate(combo))] = prod
         return out
-    space = _NON_ITERATED[spec.statement]
+    space = isocheck._STATEMENT_SPACE[spec.statement]
     left = enumerate_basis(engine, space, spec.r, level)
     right = enumerate_basis(engine, space, spec.n, level)
     return {
@@ -518,7 +594,7 @@ def test_kernel_witness_is_a_kernel_vector(monkeypatch, spec, witness):
 def test_entries_skip_multiples_of_p(p):
     # A table value p (or 2p) is zero mod p: no live entry, so no pivot.
     eng = Engine(build_root_system("A1"), p)
-    target = _TargetIndex(eng, "full", 2, 2)
+    target = _TargetIndex(eng, "full", 2)
     key = ((0,), (1,))
     values = np.zeros((2, target.hsize), dtype=np.int16)
     values[0, :2] = [1, p]
