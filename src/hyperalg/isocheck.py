@@ -456,9 +456,10 @@ def _build_columns(spec: MapSpec, engine: Engine, fro: Frobenius, level: int):
 def _check_multiplicative(
     spec: MapSpec, engine: Engine, fro: Frobenius, level: int, cap: int = 6
 ) -> bool:
-    """The torus maps are algebra maps: on the first cap^2 source tuples
-    against the first cap, the product of two images is the image of the
-    factorwise product."""
+    """The torus maps are algebra maps made of splittings: on the first
+    cap^2 source tuples against the first cap, the product of two images
+    is the image of the factorwise product, and Fr^k undoes Fr'^k on every
+    factor with power k >= 1."""
     factors = _factors(spec)
     bases = [[x for _, x in enumerate_basis(engine, "zero", depth, level)]
              for depth, _ in factors]
@@ -471,6 +472,9 @@ def _check_multiplicative(
     tuples = list(islice(iproduct(*bases), cap * cap))
     images = [image(xs) for xs in tuples]
     for xs, lhs in zip(tuples, images):
+        for x, (_, power) in zip(xs, factors):
+            if power and not fro.fr_power(_image(fro, x, power), power).equals(x):
+                return False
         for ys, rhs in zip(tuples[:cap], images[:cap]):
             product = image([engine.multiply(x, y) for x, y in zip(xs, ys)])
             if not engine.multiply(lhs, rhs).equals(product):

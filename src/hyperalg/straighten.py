@@ -11,8 +11,10 @@ and torus parts in one loop, `Engine.straighten_items`: an item is
 nu+1..2nu in convex order, and a word is normal when its slots strictly
 increase.  The loop applies torus merges, same-root merges, torus-part
 shifts, the raising/lowering collision rule and the rank-2 commutation
-patterns; one-sign words and the raising x lowering products of
-`multiply` are memoized adapters over it.
+patterns; the raising x lowering products of `multiply` are a memoized
+adapter over it.  One-sign products (`mul_signed`) fold the left factor in
+one divided power at a time, so each word straightened there is one
+divided power times a normal monomial, memoized as a left action.
 """
 
 from __future__ import annotations
@@ -783,17 +785,35 @@ class Engine:
     def mul_signed(
         self, x: Tuple[int, ...], y: Tuple[int, ...], sign: int
     ) -> Dict[Tuple[int, ...], int]:
-        """Product of two normal-ordered one-sign monomials."""
+        """Product of two normal-ordered one-sign monomials.
+
+        Folds x into y one divided power at a time: with k the first
+        nonzero slot of x and x' the rest of x, x * y = g_k^(x_k) * (x' * y),
+        so every suffix product x' * y is memoized once and each
+        straightening is one divided power times one normal monomial.
+        """
+        if not any(x):
+            return {y: 1}
         # Keyed (x, sign) then y, so that no key tuple is kept per pair.
         by_y = self._mul_signed_cache.get((x, sign))
         if by_y is None:
             by_y = self._mul_signed_cache[(x, sign)] = {}
         out = by_y.get(y)
         if out is None:
-            word = tuple((k, n) for k, n in enumerate(x) if n) + tuple(
-                (k, n) for k, n in enumerate(y) if n
-            )
-            out = by_y[y] = self.straighten_signed(word, sign)
+            p = self.p
+            k = next(k for k, n in enumerate(x) if n)
+            head = ((k, x[k]),)
+            rest = (0,) * (k + 1) + x[k + 1 :]
+            out = {}
+            for m, c in self.mul_signed(rest, y, sign).items():
+                word = head + tuple((j, n) for j, n in enumerate(m) if n)
+                for v, s in self.straighten_signed(word, sign).items():
+                    total = (out.get(v, 0) + c * s) % p
+                    if total:
+                        out[v] = total
+                    else:
+                        del out[v]
+            by_y[y] = out
         return out
 
     # -- the cross product of raising and lowering blocks ----------------

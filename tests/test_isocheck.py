@@ -129,6 +129,17 @@ def test_scaled_torus_splitting_is_not_multiplicative(monkeypatch):
         assert rep.bijective and rep.multiplicative is False
 
 
+def test_scaled_torus_splitting_is_not_a_splitting(monkeypatch):
+    # The same doubling where products cannot see it: at k = 2 split factors
+    # 2^4 = 2^2 mod 3, and at p = 2 every image is zero.  Fr^k o Fr'^k is
+    # then 2 or 0 times the identity, not the identity.
+    fr_prime_zero = Frobenius.fr_prime_zero
+    monkeypatch.setattr(
+        Frobenius, "fr_prime_zero", lambda self, h, r=1: fr_prime_zero(self, h, r).scale(2))
+    for spec in (MapSpec("Prop5.1-second", "A2", 3, 2), MapSpec("Prop5.1-first", "A2", 2, 1, 1)):
+        assert verify(spec).multiplicative is False
+
+
 def test_column_cap_enforced(monkeypatch):
     def refuse(*args):
         raise AssertionError("multiply called although the cap refuses")

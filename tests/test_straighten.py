@@ -1,5 +1,6 @@
 """Engine unit tests: rewrite rules, torus tables, support shapes."""
 
+import itertools
 import math
 import random
 
@@ -478,3 +479,25 @@ def test_largest_accepted_prime_matches_oracle():
         y = eng.multiply(eng.divided_power((1,), c, level), eng.divided_power((-1,), d, level))
         qprod = qo.multiply_divided([((1,), b), ((-1,), a), ((1,), c), ((-1,), d)])
         assert eng.multiply(x, y).equals(qo.reduce_mod_p(qprod, p, level))
+
+
+def _word(exps):
+    return tuple((k, n) for k, n in enumerate(exps) if n)
+
+
+@pytest.mark.parametrize("label,p", [("A1", 2), ("A2", 2), ("B2", 2), ("G2", 2), ("A2", 3)])
+def test_mul_signed_fold_matches_whole_word(label, p):
+    # mul_signed folds x into y one divided power at a time; on a separate
+    # engine, straightening the whole word x y must give the same dict.
+    rs = build_root_system(label)
+    fold, whole = Engine(rs, p), Engine(rs, p)
+    xs = list(itertools.product(range(p), repeat=fold.nu))
+    ys = list(itertools.product(range(p * p), repeat=fold.nu))
+    if len(ys) > 1024:
+        # G2: straightening all 524,288 whole words takes half a minute.
+        ys = random.Random(5).sample(ys, 256)
+    for sign in (1, -1):
+        for x in xs:
+            for y in ys:
+                expect = whole.straighten_signed(_word(x) + _word(y), sign)
+                assert fold.mul_signed(x, y, sign) == expect, (x, y, sign)
