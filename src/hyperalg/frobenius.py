@@ -140,13 +140,13 @@ class Frobenius:
         engine = self.engine
         p = engine.p
         out = engine.zero(x.level)
-        size = p**x.level
-        idx = (p * np.arange(size)) % size
         for (a, b), h in x.terms.items():
             if any(v % p for v in a) or any(v % p for v in b):
                 continue
-            arr = h.arr[np.ix_(*([idx] * engine.rs.rank))]
-            h2 = HPart(arr.copy(), p, x.level)
+            # A side-1 (constant) table is fixed: its index is [0].
+            size = h.arr.shape[-1]
+            idx = (p * np.arange(size)) % size
+            h2 = HPart(h.arr[np.ix_(*([idx] * engine.rs.rank))], p, x.level)
             term = engine.monomial(
                 tuple(v // p for v in a), tuple(v // p for v in b), h2, x.level
             )
@@ -231,10 +231,9 @@ class Frobenius:
             raise InsufficientLevelError(
                 "torus level too small to apply the splitting"
             )
-        size = h.p**h.level
-        idx = np.arange(size) // (h.p**r)
-        arr = h.arr[np.ix_(*([idx] * h.arr.ndim))]
-        return HPart(arr.copy(), h.p, h.level)
+        # A side-1 (constant) table is fixed: its index is [0].
+        idx = np.arange(h.arr.shape[-1]) // (h.p**r)
+        return HPart(h.arr[np.ix_(*([idx] * h.arr.ndim))], h.p, h.level)
 
     def fr_prime(self, x: PBWElement, r: int = 1) -> PBWElement:
         """Splitting on the whole algebra, termwise over triangular factors."""

@@ -28,11 +28,13 @@ factor along a batch axis, (1, R), and folds the factors left to right:
 the products so far, reshaped to batch (L, 1), times each stack give all
 L * R columns of the pair in one `Engine.multiply`, column [s, t] being
 slice [s, t] of every table of the product.  A group of one gets a batch
-axis too.  Each factor's images are checked against the target as they
-are made, so a map that leaves its target is refused before any column
-product.  `_TargetIndex.split` then gathers the
-nonzero term tables of every column of every product into flat arrays
-and cuts them into weight blocks in one sorted pass.
+axis too.  On the raising and lowering spaces every torus part is
+constant, so every table there holds one entry per column.  Each
+factor's images are checked against the target as they are made, so a
+map that leaves its target is refused before any column product.
+`_TargetIndex.split` then gathers the nonzero term tables of every
+column of every product into flat arrays and cuts them into weight
+blocks in one sorted pass.
 `_TargetIndex.entries` reads a block's live entries from its share, and
 `_TargetIndex.block` writes its dense matrix for a kernel witness.
 
@@ -258,8 +260,9 @@ class _TargetIndex:
         # Sides of a key (a, b) that may be nonzero: a lowers, b raises.
         self.sides = np.array([["f" in factors], ["e" in factors]])
         self.size = engine.p**depth
-        # Pure-sign spaces carry a scalar per monomial; the rest carry a
-        # full torus table per monomial, at the target's torus level.
+        # Pure-sign spaces hold one value per monomial, as their tables are
+        # constant; the rest hold a full torus table per monomial, at the
+        # target's torus level.
         self.hsize = self.size**engine.rs.rank if "h" in factors else 1
         self.dim = self.size ** (engine.nu * int(self.sides.sum())) * self.hsize
 
@@ -292,11 +295,13 @@ class _TargetIndex:
             for key in prod.terms:
                 run_keys.append(key)
                 col_runs.append(cols)
-            # Scalar-only spaces read each (constant) table at weight 0;
-            # the copy keeps only what is read and lets the product go.
-            tables.append(np.concatenate(
-                [h.arr.reshape(cols.size, -1)[:, :hsize] for h in prod.terms.values()]
-            ))
+            # Pure-sign spaces read each (constant) table at weight 0; a
+            # constant table elsewhere stands for hsize equal entries.  The
+            # copy keeps only what is read and lets the product go.
+            flat = [h.arr.reshape(cols.size, -1)[:, :hsize] for h in prod.terms.values()]
+            tables.append(np.concatenate([
+                t if t.shape[1] == hsize else np.broadcast_to(t, (cols.size, hsize)) for t in flat
+            ]))
         # Keys are numbered in sorted order, the order of the target basis.
         keys = sorted(set(run_keys))
         number = {k: i for i, k in enumerate(keys)}
@@ -388,12 +393,14 @@ def _stack(
     given shape, a zero table standing in for a key that an x lacks.  A
     single x may carry batch axes already; they are reshaped to the new
     ones, in order."""
-    level = xs[0].level
-    side = (engine.p**level,) * engine.rs.rank
-    zero = np.zeros(side, dtype=np.int16)
+    level, rank = xs[0].level, engine.rs.rank
+    zero = np.zeros((1,) * rank, dtype=np.int16)
     terms = {}
     for key in dict.fromkeys(k for x in xs for k in x.terms):
-        arrs = [x.terms[key].arr if key in x.terms else zero for x in xs]
+        # Constant (side-1) tables stay side-1 unless a full one is stacked
+        # with them.
+        arrs = np.broadcast_arrays(*(x.terms[key].arr if key in x.terms else zero for x in xs))
+        side = arrs[0].shape[-rank:]
         terms[key] = HPart(np.stack(arrs).reshape(batch + side), engine.p, level)
     return PBWElement(engine, level, terms)
 
@@ -464,20 +471,19 @@ def _check_multiplicative(
     bases = [[x for _, x in enumerate_basis(engine, "zero", depth, level)]
              for depth, _ in factors]
 
-    def image(xs):
-        return reduce(engine.multiply, [
-            _image(fro, x, power) for x, (_, power) in zip(xs, factors)
-        ])
+    def split(xs):
+        return [_image(fro, x, power) for x, (_, power) in zip(xs, factors)]
 
     tuples = list(islice(iproduct(*bases), cap * cap))
-    images = [image(xs) for xs in tuples]
-    for xs, lhs in zip(tuples, images):
-        for x, (_, power) in zip(xs, factors):
-            if power and not fro.fr_power(_image(fro, x, power), power).equals(x):
+    splits = [split(xs) for xs in tuples]
+    images = [reduce(engine.multiply, ys) for ys in splits]
+    for xs, ys, lhs in zip(tuples, splits, images):
+        for x, y, (_, power) in zip(xs, ys, factors):
+            if power and not fro.fr_power(y, power).equals(x):
                 return False
-        for ys, rhs in zip(tuples[:cap], images[:cap]):
-            product = image([engine.multiply(x, y) for x, y in zip(xs, ys)])
-            if not engine.multiply(lhs, rhs).equals(product):
+        for zs, rhs in zip(tuples[:cap], images[:cap]):
+            products = [engine.multiply(x, z) for x, z in zip(xs, zs)]
+            if not engine.multiply(lhs, rhs).equals(reduce(engine.multiply, split(products))):
                 return False
     return True
 

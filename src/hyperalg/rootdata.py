@@ -4,9 +4,10 @@ Roots are plain integer tuples giving coordinates over the simple roots.
 Weights are integer tuples of pairings with the simple coroots
 (fundamental-weight coordinates).  The module also provides the convex
 ordering of positive roots induced by a deterministically chosen reduced
-word for the longest Weyl-group element, and the classification of root
+word for the longest Weyl-group element, the classification of root
 pairs whose sum is again a root by angle and length inside the rank-2
-subsystem they generate.
+subsystem they generate, and a base of that subsystem for each pair,
+memoized per root system so that every engine on it shares the search.
 """
 
 from __future__ import annotations
@@ -65,6 +66,7 @@ class RootSystem:
         self._pos_index = {r: i for i, r in enumerate(self.positive_roots)}
         self.reduced_word, self.convex_roots = self._convex_order()
         self._convex_index = {r: i for i, r in enumerate(self.convex_roots)}
+        self._rank2_bases: Dict[Tuple[Root, Root], tuple] = {}
 
     # -- basic geometry -------------------------------------------------
 
@@ -191,6 +193,66 @@ class RootSystem:
             if s.denominator == 1 and t.denominator == 1:
                 out.append(rho)
         return out
+
+    def rank2_base(self, gamma: Root, delta: Root):
+        """Base of the rank-2 subsystem with gamma, delta nonnegative.
+
+        Returns (s, t, coordinates of gamma, coordinates of delta, root
+        count of the subsystem), memoized per root system.
+        """
+        key = (gamma, delta)
+        cached = self._rank2_bases.get(key)
+        if cached is not None:
+            return cached
+        sub = self.subsystem_roots(gamma, delta)
+        count = len(sub)
+        half = count // 2
+        same_sign = self._is_positive(gamma) == self._is_positive(delta)
+
+        def coords(rho, s, t):
+            det = s[0] * t[1] - s[1] * t[0]
+            x = rho[0] * t[1] - rho[1] * t[0]
+            y = s[0] * rho[1] - s[1] * rho[0]
+            if x % det or y % det:
+                return None
+            return (x // det, y // det)
+
+        best = None
+        for s in sorted(sub):
+            for t in sorted(sub):
+                if s == t or s == tuple(-v for v in t):
+                    continue
+                if self.ip(s, s) > self.ip(t, t):
+                    continue
+                if same_sign and not (
+                    self._is_positive(s) == self._is_positive(gamma)
+                    and self._is_positive(t) == self._is_positive(gamma)
+                ):
+                    continue
+                all_coords = {}
+                ok = True
+                nonneg = 0
+                for rho in sub:
+                    cc = coords(rho, s, t)
+                    if cc is None:
+                        ok = False
+                        break
+                    all_coords[rho] = cc
+                    if cc[0] >= 0 and cc[1] >= 0:
+                        nonneg += 1
+                if not ok or nonneg != half:
+                    continue
+                cg = all_coords[gamma]
+                cd = all_coords[delta]
+                if min(cg) < 0 or min(cd) < 0:
+                    continue
+                cand = (s, t, cg, cd, count)
+                if best is None or (s, t) < (best[0], best[1]):
+                    best = cand
+        if best is None:
+            raise RuntimeError(f"no rank-2 base found for {gamma}, {delta}")
+        self._rank2_bases[key] = best
+        return best
 
     def classify_pair(self, gamma: Root, delta: Root) -> Rank2Class:
         if gamma not in self._root_set or delta not in self._root_set:

@@ -5,8 +5,11 @@ terms f^(a) * H * e^(b), where the lowering and raising blocks are
 divided-power monomials in convex order and H is a torus part.  Torus
 parts are kept as value tables on weight space modulo p^N (the level N
 must satisfy p^N > every Cartan binomial degree that can arise, which the
-engine checks).  Multiplication rewrites words of divided-power factors
-and torus parts in one loop, `Engine.straighten_items`: an item is
+engine checks); a table that is constant in the weight has side 1 and
+broadcasts to the full table, so a constant costs one entry.
+Multiplication rewrites words of divided-power factors and torus parts in
+one loop, `Engine.straighten_items`, whose every coefficient is such a
+table: an item is
 (slot, x) with lowering slots 0..nu-1, the torus slot nu and raising slots
 nu+1..2nu in convex order, and a word is normal when its slots strictly
 increase.  The loop applies torus merges, same-root merges, torus-part
@@ -101,11 +104,14 @@ def _root_index(size: int, rank: int, coeffs: Tuple[int, ...], c: int) -> np.nda
 class HPart:
     """Torus part as an F_p value table on weights modulo p^level.
 
-    The table's trailing rank axes are the weight axes.  Leading axes, if
-    any, are batch axes holding several tables at once: shift, mul, scale
-    and add act on each batch entry alike (mul and add broadcast), and the
-    part is zero only when every entry is.  value and is_periodic take
-    tables without batch axes.
+    The table's trailing rank axes are the weight axes.  Each has side
+    p^level, or all have side 1 for a table that is constant in the weight
+    (`ones` makes that form); a side-1 table broadcasts to the full one,
+    which is the table it stands for.  Leading axes, if any, are batch axes
+    holding several tables at once: shift, mul, scale and add act on each
+    batch entry alike (mul, add and equals broadcast), and the part is
+    zero only when every entry is.  value and is_periodic take tables
+    without batch axes.
     """
 
     __slots__ = ("arr", "p", "level")
@@ -117,7 +123,8 @@ class HPart:
 
     @classmethod
     def ones(cls, p: int, level: int, rank: int) -> "HPart":
-        return cls(np.ones(cls._shape(p, level, rank), dtype=np.int16), p, level)
+        cls._shape(p, level, rank)  # refuses level < 1
+        return cls(np.ones((1,) * rank, dtype=np.int16), p, level)
 
     @classmethod
     def zeros(cls, p: int, level: int, rank: int) -> "HPart":
@@ -139,7 +146,7 @@ class HPart:
         return (
             self.p == other.p
             and self.level == other.level
-            and np.array_equal(self.arr, other.arr)
+            and np.array_equal(*np.broadcast_arrays(self.arr, other.arr))
         )
 
     def add(self, other: "HPart") -> "HPart":
@@ -179,8 +186,7 @@ class HPart:
         return True
 
     def value(self, lam: Sequence[int]) -> int:
-        size = self.arr.shape[0] if self.arr.ndim else 1
-        idx = tuple(int(x) % size for x in lam)
+        idx = tuple(int(x) % size for x, size in zip(lam, self.arr.shape))
         return int(self.arr[idx])
 
     def _compat(self, other: "HPart") -> None:
@@ -191,6 +197,18 @@ class HPart:
 # A word item during straightening: (slot, exponent or torus part), see
 # Engine.straighten_items.
 Item = Tuple[int, object]
+
+
+def _accumulate(terms: Dict, key, h: HPart) -> None:
+    """Add the nonzero torus part h to terms[key], dropping the key on a
+    zero sum."""
+    old = terms.get(key)
+    if old is not None:
+        h = old.add(h)
+        if h.is_zero():
+            del terms[key]
+            return
+    terms[key] = h
 
 
 class PBWElement:
@@ -209,14 +227,7 @@ class PBWElement:
         self._compat(other)
         terms = dict(self.terms)
         for key, h in other.terms.items():
-            if key in terms:
-                merged = terms[key].add(h)
-                if merged.is_zero():
-                    del terms[key]
-                else:
-                    terms[key] = merged
-            else:
-                terms[key] = h
+            _accumulate(terms, key, h)
         return PBWElement(self.engine, self.level, terms)
 
     def sub(self, other: "PBWElement") -> "PBWElement":
@@ -283,7 +294,6 @@ class Engine:
         self._slot_root += [None] + list(rs.convex_roots)
         self._root_slot = {g: s for s, g in enumerate(self._slot_root) if g}
         self._reorder_cache: Dict = {}
-        self._base_cache: Dict = {}
         self._signed_cache: Dict = {}
         self._mid_cache: Dict = {}
         self._binom_lut: Dict = {}
@@ -408,7 +418,7 @@ class Engine:
         """Coefficients over products of per-generator Cartan binomials."""
         size = self.p**h.level
         inv = self._binomial_matrix_inverse(h.level)
-        arr = h.arr.astype(np.int64)
+        arr = np.broadcast_to(h.arr, (size,) * self.rs.rank).astype(np.int64)
         for axis in range(self.rs.rank):
             arr = np.tensordot(inv, arr, axes=([1], [axis]))
             arr = np.moveaxis(arr, 0, axis) % self.p
@@ -503,63 +513,6 @@ class Engine:
         },
     }
 
-    def _find_base(self, gamma: Root, delta: Root):
-        """Base (s, t) of the rank-2 subsystem with gamma, delta nonnegative."""
-        key = (gamma, delta)
-        cached = self._base_cache.get(key)
-        if cached is not None:
-            return cached
-        rs = self.rs
-        sub = rs.subsystem_roots(gamma, delta)
-        count = len(sub)
-        half = count // 2
-        same_sign = rs._is_positive(gamma) == rs._is_positive(delta)
-
-        def coords(rho, s, t):
-            det = s[0] * t[1] - s[1] * t[0]
-            x = rho[0] * t[1] - rho[1] * t[0]
-            y = s[0] * rho[1] - s[1] * rho[0]
-            if x % det or y % det:
-                return None
-            return (x // det, y // det)
-
-        best = None
-        for s in sorted(sub):
-            for t in sorted(sub):
-                if s == t or s == tuple(-v for v in t):
-                    continue
-                if rs.ip(s, s) > rs.ip(t, t):
-                    continue
-                if same_sign and not (
-                    rs._is_positive(s) == rs._is_positive(gamma)
-                    and rs._is_positive(t) == rs._is_positive(gamma)
-                ):
-                    continue
-                all_coords = {}
-                ok = True
-                nonneg = 0
-                for rho in sub:
-                    cc = coords(rho, s, t)
-                    if cc is None:
-                        ok = False
-                        break
-                    all_coords[rho] = cc
-                    if cc[0] >= 0 and cc[1] >= 0:
-                        nonneg += 1
-                if not ok or nonneg != half:
-                    continue
-                cg = all_coords[gamma]
-                cd = all_coords[delta]
-                if min(cg) < 0 or min(cd) < 0:
-                    continue
-                cand = (s, t, cg, cd, count)
-                if best is None or (s, t) < (best[0], best[1]):
-                    best = cand
-        if best is None:
-            raise RuntimeError(f"no rank-2 base found for {gamma}, {delta}")
-        self._base_cache[key] = best
-        return best
-
     def _base_constants(self, s: Root, t: Root, count: int) -> Dict[str, int]:
         sc = self.sc
         add = lambda x, y: tuple(u + v for u, v in zip(x, y))
@@ -601,7 +554,7 @@ class Engine:
         cached = self._reorder_cache.get(key)
         if cached is not None:
             return cached
-        s, t, cg, cd, count = self._find_base(gamma, delta)
+        s, t, cg, cd, count = self.rs.rank2_base(gamma, delta)
         pattern = self._PATTERNS[count][(cg, cd)]
         consts = self._base_constants(s, t, count)
         factors = [self._resolve_factor(expr, consts) for _, expr in pattern]
@@ -655,15 +608,15 @@ class Engine:
 
     # -- straightening -----------------------------------------------------
 
-    def straighten_items(self, word: Tuple[Item, ...], level: Optional[int]) -> Dict:
+    def straighten_items(self, word: Tuple[Item, ...], level: int) -> Dict:
         """Normal form of a word of divided powers and torus parts.
 
         Items are (slot, x): slot k < nu is f^(x) of convex root k, slot nu
         a torus part x, slot nu + 1 + k is e^(x) of convex root k.  A word
         is normal when its slots strictly increase.  level is the torus
-        level of the tables a raising-lowering collision creates.  Returns
-        (a, b) -> the coefficient of f^(a) * e^(b): a scalar mod p for
-        normal words without a torus part, a table for words with one.
+        level of the tables the rewriting creates.  Returns (a, b) -> the
+        torus part of f^(a) * H * e^(b), a side-1 table for a normal word
+        without a torus part.
         """
         nu = self.nu
         p = self.p
@@ -725,41 +678,20 @@ class Engine:
                         stack.append((coeff * c % p, head + mid + tail, back))
         return out
 
-    def _collect(
-        self, out: Dict, w: Tuple[Item, ...], coeff: int, level: Optional[int]
-    ) -> None:
+    def _collect(self, out: Dict, w: Tuple[Item, ...], coeff: int, level: int) -> None:
         """Add coeff times the normal word w to out."""
         nu = self.nu
         a = [0] * nu
         b = [0] * nu
-        value = coeff
+        h = self.hpart_one(level)
         for s, x in w:
             if s < nu:
                 a[s] = x
             elif s > nu:
                 b[s - nu - 1] = x
             else:
-                value = x.scale(coeff)
-                if value.is_zero():
-                    return
-        key = (tuple(a), tuple(b))
-        old = out.get(key)
-        if old is None:
-            out[key] = value
-            return
-        if isinstance(old, HPart) or isinstance(value, HPart):
-            merged = self._as_table(old, level).add(self._as_table(value, level))
-            zero = merged.is_zero()
-        else:
-            merged = (old + value) % self.p
-            zero = not merged
-        if zero:
-            del out[key]
-        else:
-            out[key] = merged
-
-    def _as_table(self, value, level: int) -> HPart:
-        return value if isinstance(value, HPart) else self.hpart_one(level).scale(value)
+                h = x
+        _accumulate(out, (tuple(a), tuple(b)), h.scale(coeff))
 
     def straighten_signed(
         self, word: Tuple[Tuple[int, int], ...], sign: int
@@ -775,9 +707,11 @@ class Engine:
             return cached
         if sign > 0:
             word = tuple((self.nu + 1 + k, n) for k, n in word)
+        # One-sign words create no torus part, so every table is constant.
+        zero = (0,) * self.rs.rank
         out = {
-            (b if sign > 0 else a): c
-            for (a, b), c in self.straighten_items(word, None).items()
+            (b if sign > 0 else a): h.value(zero)
+            for (a, b), h in self.straighten_items(word, 1).items()
         }
         self._signed_cache[key] = out
         return out
@@ -830,10 +764,7 @@ class Engine:
         word = tuple((nu + 1 + k, n) for k, n in enumerate(b1) if n) + tuple(
             (k, n) for k, n in enumerate(a2) if n
         )
-        result = [
-            (a, b, self._as_table(value, level))
-            for (a, b), value in self.straighten_items(word, level).items()
-        ]
+        result = [(a, b, h) for (a, b), h in self.straighten_items(word, level).items()]
         self._mid_cache[key] = result
         return result
 
@@ -864,14 +795,5 @@ class Engine:
                             scalar = sf * se % p
                             if scalar == 0:
                                 continue
-                            h_term = h_total.scale(scalar)
-                            key = (g, e)
-                            if key in out:
-                                merged = out[key].add(h_term)
-                                if merged.is_zero():
-                                    del out[key]
-                                else:
-                                    out[key] = merged
-                            else:
-                                out[key] = h_term
+                            _accumulate(out, (g, e), h_total.scale(scalar))
         return PBWElement(self, level, out)

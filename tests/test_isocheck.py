@@ -23,6 +23,7 @@ from hyperalg.isocheck import (
     sabotaged_engine,
     verify,
 )
+from hyperalg.idempotents import mu_hpart
 from hyperalg.linalg import peel
 from hyperalg.qoracle import QOracle
 from hyperalg.rootdata import build_root_system
@@ -650,3 +651,72 @@ def test_dense_leftover_path_gives_the_same_report(monkeypatch, spec, sabotaged,
     )
     assert _report(spec, engine()) == peeled
     assert identity == (peeled.get("kernel_witness") is not None)
+
+
+def test_plus_columns_keep_constant_tables():
+    # Every torus part of the raising algebra is constant, so no column
+    # product of a plus statement builds a full table; the idempotents of
+    # the other spaces are full tables.
+    spec = MapSpec("Thm4.5-first", "A2", 3, 1, 1)
+    engine = Engine(build_root_system(spec.system), spec.p)
+    level = spec.r + spec.n
+    _, parts = _build_columns(spec, engine, Frobenius(engine), level)
+    assert parts
+    for cols, prod in parts:
+        for h in prod.terms.values():
+            assert h.arr.shape == cols.shape + (1, 1), h.arr.shape
+    size = spec.p**level
+    assert mu_hpart(engine, (1, 2), 1, level).arr.shape == (size, size)
+
+
+def test_split_broadcasts_constant_tables_on_the_zero_space():
+    # A constant table on a space with full tables fills all hsize rows of
+    # its key, as its broadcast full table would.
+    eng = Engine(build_root_system("A2"), 3)
+    level = 1
+    target = _TargetIndex(eng, "zero", level)
+    assert target.hsize == 9
+    key = ((0,) * 3, (0,) * 3)
+    const = eng.hpart_one(level).scale(2)
+    full = HPart(np.broadcast_to(const.arr, (3, 3)).copy(), eng.p, level)
+    for h in (const, full):
+        pieces = target.split([(np.array([[4]]), eng.hpart_element(h, level))])
+        cols, rows, offsets, entry_cols, values = pieces[(0, 0)]
+        assert list(cols) == [4] and rows == [key]
+        assert np.array_equal(values, np.full((1, 9), 2))
+        mat, _ = target.block(pieces[(0, 0)])
+        assert np.array_equal(mat, np.full((9, 1), 2))
+    # batched: each column's constant fills its own rows
+    stacked = PBWElement(eng, level, {key: HPart(
+        np.array([1, 0, 2], dtype=np.int16).reshape(1, 3, 1, 1), eng.p, level)})
+    pieces = target.split([(np.array([[0, 1, 2]]), stacked)])
+    cols, rows, offsets, entry_cols, values = pieces[(0, 0)]
+    assert list(cols) == [0, 1, 2] and list(entry_cols) == [0, 2]
+    assert np.array_equal(values, np.repeat([[1], [2]], 9, axis=1))
+
+
+def test_rank2_bases_belong_to_the_root_system(monkeypatch):
+    # The base of each rank-2 subsystem is searched once per root system:
+    # a second engine on it, cold, finds every base memoized.  The
+    # sabotaged engine shares the bases but not the constants it reads
+    # on them.
+    rs = build_root_system("A2")
+    x, y = ((0, 1), 1), ((1, 0), 1)
+
+    def product(eng):
+        return eng.multiply(eng.divided_power(*x, 1), eng.divided_power(*y, 1))
+
+    honest = product(Engine(rs, 3))
+    assert rs._rank2_bases
+    searched = []
+    subsystem_roots = rs.subsystem_roots
+    monkeypatch.setattr(rs, "subsystem_roots",
+                        lambda g, d: searched.append((g, d)) or subsystem_roots(g, d))
+    assert product(Engine(rs, 3)).equals(honest)
+    sabotaged = product(sabotaged_engine("A2", 3))
+    assert searched == []
+    key = ((0, 0, 0), (0, 1, 0))  # e[1 1]^(1)
+    assert rs.convex_roots[1] == (1, 1)
+    assert honest.terms[key].value((0, 0)) == 2
+    assert sabotaged.terms[key].value((0, 0)) == 1
+    assert not sabotaged.equals(honest)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hyperalg.frobenius import Frobenius
 from hyperalg.qoracle import QOracle
 from hyperalg.rootdata import build_root_system
 from hyperalg.straighten import Engine, HPart, InsufficientLevelError, lucas_binom
@@ -501,3 +502,98 @@ def test_mul_signed_fold_matches_whole_word(label, p):
             for y in ys:
                 expect = whole.straighten_signed(_word(x) + _word(y), sign)
                 assert fold.mul_signed(x, y, sign) == expect, (x, y, sign)
+
+
+def _wide(h, rank):
+    """The full table a side-1 (constant) table stands for."""
+    size = h.p**h.level
+    return HPart(np.broadcast_to(h.arr, (size,) * rank).copy(), h.p, h.level)
+
+
+@pytest.mark.parametrize("label,p", [(s, p) for s in ("A1", "A2", "B2") for p in (2, 3)])
+def test_constant_table_acts_as_its_broadcast(label, p):
+    # A constant torus part is a side-1 table.  Every table operation on it
+    # must equal the same operation on the full table it broadcasts to, and
+    # a constant stays side-1 where the result is constant too.
+    eng = engine_for(label, p)
+    rank, nu = eng.rs.rank, eng.nu
+    fro = Frobenius(eng)
+    rng = np.random.default_rng(13)
+    side1 = (1,) * rank
+    for level in (1, 2):
+        size = p**level
+        full = HPart(rng.integers(0, p, size=(size,) * rank).astype(np.int16), p, level)
+        full.arr.flat[0] = (full.arr.flat[-1] + 1) % p  # not constant
+        weights = [tuple(int(v) for v in rng.integers(-3 * size, 3 * size, size=rank))
+                   for _ in range(6)] + [(size,) * rank, (-1,) * rank]
+        for x in (eng.one(level), eng.divided_power(eng.rs.roots[0], 2, level),
+                  eng.monomial((1,) * nu, (1,) * nu, None, level)):
+            assert [h.arr.shape for h in x.terms.values()] == [side1]
+        for c in range(p):
+            const = eng.hpart_one(level).scale(c)
+            wide = _wide(const, rank)
+            assert const.arr.shape == side1 and const.arr.dtype == np.int16
+            assert const.equals(wide) and wide.equals(const)
+            assert not const.equals(full) and not full.equals(const)
+            other = eng.hpart_one(level).scale(c + 1)
+            assert not const.equals(other) and not const.equals(_wide(other, rank))
+            for g in (full, wide, other, _wide(other, rank)):
+                for op in ("add", "mul"):
+                    got, want = getattr(const, op)(g), getattr(wide, op)(g)
+                    assert got.equals(want) and want.equals(got), (op, c, level)
+                    assert np.array_equal(np.broadcast_to(got.arr, want.arr.shape), want.arr)
+            for op in ("add", "mul"):
+                assert getattr(const, op)(other).arr.shape == side1
+            for k in range(-1, p + 1):
+                assert const.scale(k).arr.shape == side1
+                assert const.scale(k).equals(wide.scale(k))
+            for w in weights:
+                assert const.shift(w).arr is const.arr
+                assert const.shift(w).equals(wide.shift(w))
+                assert const.value(w) == wide.value(w) == c
+            for r in range(level + 1):
+                assert const.is_periodic(r) and wide.is_periodic(r)
+            assert eng.hpart_to_binomial_basis(const) == eng.hpart_to_binomial_basis(wide)
+            for r in range(1, level + 1):
+                got, want = fro.fr_prime_zero(const, r), fro.fr_prime_zero(wide, r)
+                assert got.arr.shape == side1 and got.equals(want)
+            if c:
+                b = (p,) + (0,) * (nu - 1)
+                x = eng.monomial((0,) * nu, b, const, level)
+                y = eng.monomial((0,) * nu, b, wide, level)
+                got, want = fro.fr(x), fro.fr(y)
+                assert got.equals(want) and not got.is_zero()
+                assert all(h.arr.shape == side1 for h in got.terms.values())
+
+
+def test_straighten_items_gives_tables_only():
+    # Every coefficient is a table: side-1 for words without a torus part
+    # (one-sign words, or collision terms of binomial degree 0), full where
+    # a raising-lowering collision creates one.
+    eng = engine_for("A2", 3)
+    nu, level = eng.nu, 2
+    signed = eng.straighten_items(((nu + 2, 1), (nu + 1, 1)), level)
+    assert signed and all(isinstance(h, HPart) for h in signed.values())
+    assert all(h.arr.shape == (1, 1) for h in signed.values())
+    mixed = eng.straighten_items(((nu + 1, 2), (0, 2)), level)
+    shapes = {key: h.arr.shape for key, h in mixed.items()}
+    assert shapes[((2, 0, 0), (2, 0, 0))] == (1, 1)
+    assert shapes[((1, 0, 0), (1, 0, 0))] == (9, 9)
+
+
+def test_accumulate_drops_zero_sums():
+    eng = engine_for("A2", 3)
+    level = 1
+    h = eng.binom_h_simple(0, 1, level)
+    for x in (eng.divided_power((1, 0), 2, level),
+              eng.monomial((1, 0, 0), (0, 0, 1), h, level),
+              eng.one(level).add(eng.monomial((0,) * 3, (0,) * 3, h, level))):
+        assert x.terms
+        assert x.add(x.scale(-1)).terms == {}
+        assert x.scale(2).add(x).terms == {}
+        assert eng.multiply(x, eng.one(level).scale(-1)).add(x).terms == {}
+    # e f - f e = h on sl2: the f e terms cancel in the sum.
+    e = eng.divided_power((1, 0), 1, level)
+    f = eng.divided_power((-1, 0), 1, level)
+    diff = eng.multiply(e, f).sub(eng.multiply(f, e))
+    assert list(diff.terms) == [((0,) * 3, (0,) * 3)]
