@@ -561,13 +561,17 @@ def sabotaged_engine(system: str, p: int) -> Engine:
     """Engine with one structure-constant sign flipped inconsistently.
 
     Regression aid: the resulting 'constants' violate antisymmetry, so
-    downstream certifications are expected to break detectably.
+    downstream certifications are expected to break detectably.  The
+    flipped constant is N(s, t) of the rank-2 base (s, t) of the first
+    composite positive pair, the constant reorder_pair reads for that
+    pair on every system.
     """
     rs = build_root_system(system)
     sc = StructureConstants(rs)
-    for (gamma, delta), val in sorted(sc._n.items()):
+    for gamma, delta in sorted(sc._n):
         if rs._is_positive(gamma) and rs._is_positive(delta):
-            sc._n[(gamma, delta)] = -val
+            s, t = rs.rank2_base(gamma, delta)[:2]
+            sc._n[(s, t)] = -sc._n[(s, t)]
             return Engine(rs, p, sc=sc)
     raise ValueError("system has no composite positive pair to sabotage")
 

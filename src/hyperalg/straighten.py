@@ -7,17 +7,18 @@ parts are kept as value tables on weight space modulo p^N (the level N
 must satisfy p^N > every Cartan binomial degree that can arise, which the
 engine checks); a table that is constant in the weight has side 1 and
 broadcasts to the full table, so a constant costs one entry.
-Multiplication rewrites words of divided-power factors and torus parts in
-one loop, `Engine.straighten_items`, whose every coefficient is such a
-table: an item is
-(slot, x) with lowering slots 0..nu-1, the torus slot nu and raising slots
-nu+1..2nu in convex order, and a word is normal when its slots strictly
-increase.  The loop applies torus merges, same-root merges, torus-part
-shifts, the raising/lowering collision rule and the rank-2 commutation
-patterns; the raising x lowering products of `multiply` are a memoized
-adapter over it.  One-sign products (`mul_signed`) fold the left factor in
-one divided power at a time, so each word straightened there is one
-divided power times a normal monomial, memoized as a left action.
+Multiplication rewrites words of divided powers in one loop,
+`Engine.straighten_items`: an item is (slot, n) with lowering slots
+0..nu-1 and raising slots nu..2nu-1 in convex order, and a word is normal
+when its slots strictly increase.  A torus part commutes with a divided
+power u up to a shift of weight, u * H = H(. - wt u) * u, so the loop
+keeps one table left of each word instead of torus items in it.  It
+applies same-root merges, the raising/lowering collision rule, commuting
+and the rank-2 reorder patterns; the raising x lowering products of
+`multiply` are a memoized adapter over it.  One-sign products
+(`mul_signed`) fold the left factor in one divided power at a time, so
+each word straightened there is one divided power times a normal
+monomial, memoized as a left action.
 """
 
 from __future__ import annotations
@@ -194,9 +195,8 @@ class HPart:
             raise ValueError("torus-part prime/level mismatch")
 
 
-# A word item during straightening: (slot, exponent or torus part), see
-# Engine.straighten_items.
-Item = Tuple[int, object]
+# A word item during straightening: (slot, exponent), see Engine.straighten_items.
+Item = Tuple[int, int]
 
 
 def _accumulate(terms: Dict, key, h: HPart) -> None:
@@ -288,17 +288,19 @@ class Engine:
         self.sc = sc if sc is not None else StructureConstants(rs)
         self.nu = rs.num_positive
         self.convex_weights = [rs.weight_coords(b) for b in rs.convex_roots]
-        self._root_weight = {g: rs.weight_coords(g) for g in rs.roots}
-        # Root of each word slot (see straighten_items), and the inverse.
+        # Root and weight of each word slot (see straighten_items), and the
+        # slot of each root.
         self._slot_root = [tuple(-x for x in g) for g in rs.convex_roots]
-        self._slot_root += [None] + list(rs.convex_roots)
-        self._root_slot = {g: s for s, g in enumerate(self._slot_root) if g}
+        self._slot_root += list(rs.convex_roots)
+        self._slot_weight = [rs.weight_coords(g) for g in self._slot_root]
+        self._root_slot = {g: s for s, g in enumerate(self._slot_root)}
         self._reorder_cache: Dict = {}
         self._signed_cache: Dict = {}
         self._mid_cache: Dict = {}
         self._binom_lut: Dict = {}
         self._weight_cache: Dict[int, Dict] = {1: {}, -1: {}}
         self._mul_signed_cache: Dict = {}
+        self._ones: Dict[int, HPart] = {}
 
     # -- weights --------------------------------------------------------
 
@@ -324,7 +326,12 @@ class Engine:
         return PBWElement(self, level, {})
 
     def hpart_one(self, level: int) -> HPart:
-        return HPart.ones(self.p, level, self.rs.rank)
+        """The constant one table at this level, shared and read-only."""
+        one = self._ones.get(level)
+        if one is None:
+            one = self._ones[level] = HPart.ones(self.p, level, self.rs.rank)
+            one.arr.flags.writeable = False
+        return one
 
     def one(self, level: int) -> PBWElement:
         zero_nu = (0,) * self.nu
@@ -376,15 +383,7 @@ class Engine:
 
     def binom_h_simple(self, i: int, n: int, level: int) -> HPart:
         """Table of the binomial coefficient of the i-th Cartan generator."""
-        side = HPart._shape(self.p, level, self.rs.rank)
-        if n >= self.p**level:
-            raise InsufficientLevelError(
-                f"binomial degree {n} needs level above {level}"
-            )
-        shape = [1] * self.rs.rank
-        shape[i] = self.p**level
-        arr = np.broadcast_to(self._lut(n, level).reshape(shape), side).copy()
-        return HPart(arr, self.p, level)
+        return self.binom_h_root(self.rs.simple(i), 0, n, level)
 
     def binom_h_root(self, gamma: Root, c: int, n: int, level: int) -> HPart:
         """Table of binom(h_gamma + c, n) via the coroot expansion of gamma."""
@@ -609,89 +608,87 @@ class Engine:
     # -- straightening -----------------------------------------------------
 
     def straighten_items(self, word: Tuple[Item, ...], level: int) -> Dict:
-        """Normal form of a word of divided powers and torus parts.
+        """Normal form of a word of divided powers.
 
-        Items are (slot, x): slot k < nu is f^(x) of convex root k, slot nu
-        a torus part x, slot nu + 1 + k is e^(x) of convex root k.  A word
-        is normal when its slots strictly increase.  level is the torus
-        level of the tables the rewriting creates.  Returns (a, b) -> the
-        torus part of f^(a) * H * e^(b), a side-1 table for a normal word
-        without a torus part.
+        Items are (slot, n): slot k < nu is f^(n) of convex root k, slot
+        nu + k is e^(n) of convex root k.  A word is normal when its slots
+        strictly increase.  level is the torus level of the tables the
+        rewriting creates.  Returns (a, b) -> the torus part of
+        f^(a) * H * e^(b), a side-1 table where no collision made one.
         """
         nu = self.nu
         p = self.p
         roots = self._slot_root
+        weights = self._slot_weight
         root_set = self.rs._root_set
         out: Dict = {}
-        # (coefficient, word, index where the scan resumes); the pairs
-        # before that index are in order.
-        stack: List[Tuple[int, Tuple[Item, ...], int]] = [(1, word, 0)]
+        # (coefficient, torus part standing left of the word, word, index
+        # where the scan resumes); the pairs before that index are in order.
+        stack: List[Tuple[int, HPart, Tuple[Item, ...], int]] = [
+            (1, self.hpart_one(level), word, 0)
+        ]
         steps = 0
         while stack:
             steps += 1
             if steps > _STEP_LIMIT:
                 raise RuntimeError("straightening step limit exceeded")
-            coeff, w, i = stack.pop()
+            coeff, h, w, i = stack.pop()
             last = len(w) - 1
             while i < last and w[i][0] < w[i + 1][0]:
                 i += 1
             if i >= last:
-                self._collect(out, w, coeff, level)
+                self._collect(out, w, coeff, h)
                 continue
             (s1, x1), (s2, x2) = w[i], w[i + 1]
             head, tail = w[:i], w[i + 2 :]
             back = i - 1 if i else 0
-            if s1 == s2 == nu:
-                merged = x1.mul(x2)
-                if not merged.is_zero():
-                    stack.append((coeff, head + ((nu, merged),) + tail, back))
-            elif s1 == s2:
+            if s1 == s2:
                 c = lucas_binom(x1 + x2, x2, p)
                 if c:
-                    stack.append((coeff * c % p, head + ((s1, x1 + x2),) + tail, back))
-            elif s1 == nu:
-                # Torus part passes a lowering factor to its right.
-                h = x1.shift(tuple(x2 * x for x in self._root_weight[roots[s2]]))
-                stack.append((coeff, head + ((s2, x2), (nu, h)) + tail, back))
-            elif s2 == nu:
-                # Raising factor passes a torus part to its right.
-                h = x2.shift(tuple(-x1 * x for x in self._root_weight[roots[s1]]))
-                stack.append((coeff, head + ((nu, h), (s1, x1)) + tail, back))
-            elif s1 - nu - 1 == s2:
-                # Raising-lowering collision on one root.
+                    stack.append((coeff * c % p, h, head + ((s1, x1 + x2),) + tail, back))
+            elif s1 - nu == s2:
+                # Raising-lowering collision on one root g:
+                # e^(x1) f^(x2) = sum_k f^(x2-k) binom(h_g - x1 - x2 + 2k, k) e^(x1-k).
+                # Moved left past f^(x2-k) and the head, the binomial's
+                # constant becomes x2 - x1 - <wt(head), g-vee>, the same for
+                # every k.
+                g = roots[s1]
+                d = self.sc.coroot_coeffs(g)
+                head_d = sum(x * u * v for s, x in head for u, v in zip(weights[s], d))
                 for k in range(min(x1, x2) + 1):
-                    mid: Tuple[Item, ...] = ((s2, x2 - k),) if x2 - k else ()
+                    hk = h
                     if k:
-                        h = self.binom_h_root(roots[s1], -x1 - x2 + 2 * k, k, level)
-                        mid += ((nu, h),)
+                        hk = h.mul(self.binom_h_root(g, x2 - x1 - head_d, k, level))
+                        if hk.is_zero():
+                            continue
+                    mid: Tuple[Item, ...] = ((s2, x2 - k),) if x2 - k else ()
                     if x1 - k:
                         mid += ((s1, x1 - k),)
-                    stack.append((coeff, head + mid + tail, back))
+                    stack.append((coeff, hk, head + mid + tail, back))
             else:
                 g1, g2 = roots[s1], roots[s2]
                 if tuple(u + v for u, v in zip(g1, g2)) not in root_set:
-                    stack.append((coeff, head + ((s2, x2), (s1, x1)) + tail, back))
+                    stack.append((coeff, h, head + ((s2, x2), (s1, x1)) + tail, back))
                 else:
                     slot_of = self._root_slot
                     for c, frag in self.reorder_pair(g1, x1, g2, x2):
                         mid = tuple((slot_of[rho], e) for rho, e in frag)
-                        stack.append((coeff * c % p, head + mid + tail, back))
+                        stack.append((coeff * c % p, h, head + mid + tail, back))
         return out
 
-    def _collect(self, out: Dict, w: Tuple[Item, ...], coeff: int, level: int) -> None:
-        """Add coeff times the normal word w to out."""
+    def _collect(self, out: Dict, w: Tuple[Item, ...], coeff: int, h: HPart) -> None:
+        """Add coeff * h * w to out, for a normal word w."""
         nu = self.nu
         a = [0] * nu
         b = [0] * nu
-        h = self.hpart_one(level)
         for s, x in w:
             if s < nu:
                 a[s] = x
-            elif s > nu:
-                b[s - nu - 1] = x
             else:
-                h = x
-        _accumulate(out, (tuple(a), tuple(b)), h.scale(coeff))
+                b[s - nu] = x
+        a = tuple(a)
+        # h moves right past f^(a).
+        _accumulate(out, (a, tuple(b)), h.shift(self.exps_weight(a, -1)).scale(coeff))
 
     def straighten_signed(
         self, word: Tuple[Tuple[int, int], ...], sign: int
@@ -706,7 +703,7 @@ class Engine:
         if cached is not None:
             return cached
         if sign > 0:
-            word = tuple((self.nu + 1 + k, n) for k, n in word)
+            word = tuple((self.nu + k, n) for k, n in word)
         # One-sign words create no torus part, so every table is constant.
         zero = (0,) * self.rs.rank
         out = {
@@ -761,7 +758,7 @@ class Engine:
         if cached is not None:
             return cached
         nu = self.nu
-        word = tuple((nu + 1 + k, n) for k, n in enumerate(b1) if n) + tuple(
+        word = tuple((nu + k, n) for k, n in enumerate(b1) if n) + tuple(
             (k, n) for k, n in enumerate(a2) if n
         )
         result = [(a, b, h) for (a, b), h in self.straighten_items(word, level).items()]

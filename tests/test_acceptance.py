@@ -5,6 +5,7 @@ assertion failure. The largest case, the rank-2 full-algebra map
 Thm5.5-first A2 p=2 (dimension 65536), runs with the rest.
 """
 
+import itertools
 import math
 import random
 import time
@@ -53,6 +54,17 @@ def test_c01_oracle_equivalence():
                 for g, n in factors:
                     got = eng.multiply(got, eng.divided_power(g, n, level))
                 assert got.equals(expect), (label, p, factors)
+        # Two raising factors times two lowering ones at p=3, as one
+        # product: its collisions have raising factors to their left.
+        eng, level = engines[3], LEVEL[3]
+        for g, d in itertools.permutations(rs.convex_roots, 2):
+            neg_g, neg_d = tuple(-x for x in g), tuple(-x for x in d)
+            factors = [(g, 1), (d, 2), (neg_d, 2), (neg_g, 1)]
+            expect = qo.reduce_mod_p(qo.multiply_divided(factors), 3, level)
+            x = [eng.divided_power(r, n, level) for r, n in factors[:2]]
+            y = [eng.divided_power(r, n, level) for r, n in factors[2:]]
+            got = eng.multiply(eng.multiply(*x), eng.multiply(*y))
+            assert got.equals(expect), (label, factors)
     elapsed = time.monotonic() - t0
     assert elapsed < 300
     ok(f"C1 oracle equivalence, 500 products x {RANK2} x p in {PRIMES} "

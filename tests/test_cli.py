@@ -1,5 +1,6 @@
 """CLI: grammar round trips, subcommands, exit codes."""
 
+import hashlib
 import json
 import random
 
@@ -193,3 +194,38 @@ def test_rejects_out_of_range_level_and_depth(capsys, argv):
     assert code == 1
     assert captured.out == ""
     assert captured.err.startswith("error:")
+
+
+# sha256 of the JSON each command prints, pinned so that an engine change
+# which alters any coefficient, torus table or term order shows here.  Every
+# input has raising-lowering collisions with raising factors to their left.
+_PINNED = [
+    ("mul", "A2", "3", ["e[1 0]^(1)*e[1 1]^(2)", "f[1 1]^(2)*f[1 0]^(1)"],
+     "990748658e0cf6a864c2795265e4e60a217c5258c83fb2c8637d288bc78c7f2b"),
+    ("normalize", "A2", "3", ["e[1 1]^(1)*H(0,2)*f[1 1]^(2)"
+                              " + 2*e[0 1]^(2)*e[1 1]^(1)*f[0 1]^(1)*f[1 0]^(1)"],
+     "58ab6e9dbbb0f1199eaf4eaf7bbb7521f00ab89481809f7c64abae5cf50c6116"),
+    ("frsplit", "A2", "3", ["e[1 0]^(1)*e[1 1]^(1)*f[1 1]^(1)*f[0 1]^(1)"],
+     "8ee972b26dfb8aa8f82edf05e47a2f1e53e5f0da373ec7abeb4be47ae4df37a9"),
+    ("mul", "B2", "3", ["e[1 0]^(1)*e[1 1]^(2)", "f[1 1]^(1)*f[1 0]^(2)"],
+     "b3e30ece865e4edee50bbd3be3c3eacf5308577631e543802495e94db9d5f08a"),
+    ("normalize", "B2", "3", ["e[0 1]^(2)*e[1 1]^(1)*f[2 1]^(1)*f[1 0]^(1)"
+                              " + H(1,1)*f[1 1]^(1)"],
+     "db477f4e75b724b6cb793b7c2f23faa42b9f84aa10b6e709c28e78f0cf988cda"),
+    ("frsplit", "B2", "2", ["e[1 0]^(1)*e[1 1]^(1)*f[1 1]^(1)*f[0 1]^(1)"],
+     "9946a9b445cef51b42d2b387dcd1d07e1b887326d8540fc632393c2e8b6d9d98"),
+    ("mul", "G2", "3", ["e[1 0]^(1)*e[2 1]^(1)", "f[2 1]^(1)*f[3 1]^(1)"],
+     "e0577d137768542aab46613b60cc6025731f7dff49352a0f9bd32dd8bfe40018"),
+    ("normalize", "G2", "2", ["e[1 0]^(2)*e[1 1]^(1)*f[1 1]^(2)*f[0 1]^(1)"],
+     "5d2391ec926a0ae71bb02a2086f3e04163863c57fbcac407283767be066e9168"),
+    ("frsplit", "G2", "2", ["e[1 0]^(1)*e[1 1]^(1)*f[1 1]^(1)*f[0 1]^(1)"],
+     "4d7856471a6fe0c92f97b72834e309c6fcf71fb5fd8516387806476443b38399"),
+]
+
+
+@pytest.mark.parametrize("cmd,system,p,elements,digest", _PINNED,
+                         ids=[f"{cmd}-{system}-p{p}" for cmd, system, p, _, _ in _PINNED])
+def test_output_is_pinned(capsys, cmd, system, p, elements, digest):
+    code, out = run_cli(capsys, cmd, *elements, "--type", system, "--p", p, "--level", "2")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -182,6 +182,18 @@ def test_sabotage_detected_against_oracle():
     assert direct.equals(expect)
 
 
+@pytest.mark.parametrize("system", ["A2", "B2", "G2"])
+def test_sabotage_reaches_every_system(system):
+    # (0, 1), (1, 0) is the first composite positive pair on each system;
+    # the sabotaged engine must change the product it reorders.
+    rs = build_root_system(system)
+
+    def product(eng):
+        return eng.multiply(eng.divided_power((0, 1), 1, 1), eng.divided_power((1, 0), 1, 1))
+
+    assert not product(sabotaged_engine(system, 3)).equals(product(Engine(rs, 3)))
+
+
 def test_report_block_weights_are_lists_of_ints():
     rep = verify(MapSpec("Thm5.5-first", "A1", 2, 1, 1))
     assert rep.bijective

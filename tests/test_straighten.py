@@ -425,6 +425,13 @@ def test_binom_h_root_matches_direct_construction():
                 # a cold engine finds the same tables
                 fresh = Engine(eng.rs, p, sc=eng.sc)
                 assert np.array_equal(fresh.binom_h_root(gamma, c, n, level).arr, want)
+            # binom_h_simple(i, n) is binom(h_i, n), on every degree
+            for i in range(eng.rs.rank):
+                for n in range(size):
+                    want = _binom_root_direct(eng, eng.rs.simple(i), 0, n, level)
+                    got = eng.binom_h_simple(i, n, level)
+                    assert got.arr.dtype == np.int16
+                    assert np.array_equal(got.arr, want), (label, p, i, n)
 
 
 
@@ -572,13 +579,24 @@ def test_straighten_items_gives_tables_only():
     # a raising-lowering collision creates one.
     eng = engine_for("A2", 3)
     nu, level = eng.nu, 2
-    signed = eng.straighten_items(((nu + 2, 1), (nu + 1, 1)), level)
+    signed = eng.straighten_items(((nu + 1, 1), (nu, 1)), level)
     assert signed and all(isinstance(h, HPart) for h in signed.values())
     assert all(h.arr.shape == (1, 1) for h in signed.values())
-    mixed = eng.straighten_items(((nu + 1, 2), (0, 2)), level)
+    mixed = eng.straighten_items(((nu, 2), (0, 2)), level)
     shapes = {key: h.arr.shape for key, h in mixed.items()}
     assert shapes[((2, 0, 0), (2, 0, 0))] == (1, 1)
     assert shapes[((1, 0, 0), (1, 0, 0))] == (9, 9)
+
+
+def test_hpart_one_is_shared_and_read_only():
+    # One constant one table per level serves every normal word collected.
+    eng = engine_for("A2", 3)
+    one = eng.hpart_one(2)
+    assert eng.hpart_one(2) is one and eng.hpart_one(1) is not one
+    assert one.arr.shape == (1, 1) and not one.arr.flags.writeable
+    with pytest.raises(ValueError):
+        one.arr[0, 0] = 2
+    assert eng.one(2).terms[((0,) * 3, (0,) * 3)] is one
 
 
 def test_accumulate_drops_zero_sums():
