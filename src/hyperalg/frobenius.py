@@ -20,7 +20,9 @@ from typing import Dict, List, Tuple
 
 from .linalg import row_reduce
 from .rootdata import Root
-from .straighten import Engine, HPart, InsufficientLevelError, PBWElement, exps_sum
+from .straighten import (
+    Engine, HPart, InsufficientLevelError, PBWElement, exps_of_weight, exps_sum
+)
 
 # A word is a product of simple-root divided powers, stored as a tuple of
 # (simple index, exponent) with adjacent indices distinct.
@@ -65,29 +67,6 @@ class SimpleWordTable:
         rec(mu, -1, ())
         return out
 
-    def _monomials_of_weight(self, mu: Tuple[int, ...]) -> List[Tuple[int, ...]]:
-        rs = self.engine.rs
-        out: List[Tuple[int, ...]] = []
-
-        def rec(k: int, rem: Tuple[int, ...], acc: Tuple[int, ...]):
-            if k == rs.num_positive:
-                if all(x == 0 for x in rem):
-                    out.append(acc)
-                return
-            beta = rs.convex_roots[k]
-            bound = min(
-                (rem[i] // beta[i] for i in range(rs.rank) if beta[i] > 0),
-            )
-            for n in range(bound + 1):
-                rec(
-                    k + 1,
-                    tuple(rem[i] - n * beta[i] for i in range(rs.rank)),
-                    acc + (n,),
-                )
-
-        rec(0, mu, ())
-        return out
-
     def _block(self, mu: Tuple[int, ...]) -> Dict:
         cached = self._blocks.get(mu)
         if cached is not None:
@@ -96,7 +75,7 @@ class SimpleWordTable:
         rs = engine.rs
         p = engine.p
         words = self._words_of_weight(mu)
-        monos = self._monomials_of_weight(mu)
+        monos = exps_of_weight(mu, rs.convex_roots)
         mono_index = {m: i for i, m in enumerate(monos)}
         nrows, ncols = len(monos), len(words)
         mat = np.zeros((nrows, ncols), dtype=np.int64)
@@ -154,6 +133,8 @@ class Frobenius:
         return out
 
     def fr_power(self, x: PBWElement, r: int) -> PBWElement:
+        if r < 0:
+            raise ValueError(f"depth r={r} must be nonnegative")
         for _ in range(r):
             x = self.fr(x)
         return x
@@ -237,6 +218,8 @@ class Frobenius:
 
     def fr_prime(self, x: PBWElement, r: int = 1) -> PBWElement:
         """Splitting on the whole algebra, termwise over triangular factors."""
+        if r < 0:
+            raise ValueError(f"depth r={r} must be nonnegative")
         engine = self.engine
         out = engine.zero(x.level)
         for (a, b), h in x.terms.items():

@@ -167,6 +167,8 @@ def enumerate_basis(
     """
     if space not in _SPACES:
         raise ValueError(f"unknown space {space!r}")
+    if r < 0:
+        raise ValueError(f"depth r={r} must be nonnegative")
     rs, p, factors = engine.rs, engine.p, _SPACES[space]
     zero_nu = (0,) * engine.nu
     exps = list(iproduct(range(p**r), repeat=engine.nu))

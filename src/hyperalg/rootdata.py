@@ -8,14 +8,16 @@ word for the longest Weyl-group element, the classification of root
 pairs whose sum is again a root by angle and length inside the rank-2
 subsystem they generate, and a base of that subsystem for each pair,
 memoized per root system so that every engine on it shares the search.
+Every rank-2 coordinate question, which roots lie in the lattice of a
+pair and the coordinates of a root in a base, is one integer solve,
+`base_coords`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 Root = Tuple[int, ...]
 Weight = Tuple[int, ...]
@@ -29,6 +31,21 @@ _CARTAN: Dict[str, Tuple[Tuple[Tuple[int, ...], ...], Tuple[int, ...]]] = {
     "B2": (((2, -1), (-2, 2)), (1, 2)),
     "G2": (((2, -1), (-3, 2)), (1, 3)),
 }
+
+
+def base_coords(
+    rho: Tuple[int, int], s: Tuple[int, int], t: Tuple[int, int]
+) -> Optional[Tuple[int, int]]:
+    """The integers (x, y) with x*s + y*t = rho, or None if there are none.
+
+    s and t are two-coordinate vectors that are not proportional.
+    """
+    det = s[0] * t[1] - s[1] * t[0]
+    x = rho[0] * t[1] - rho[1] * t[0]
+    y = s[0] * rho[1] - s[1] * rho[0]
+    if x % det or y % det:
+        return None
+    return (x // det, y // det)
 
 
 @dataclass(frozen=True)
@@ -179,20 +196,11 @@ class RootSystem:
 
     def subsystem_roots(self, gamma: Root, delta: Root) -> List[Root]:
         """Roots lying in the integer lattice spanned by gamma and delta."""
-        det = gamma[0] * delta[1] - gamma[1] * delta[0] if self.rank == 2 else None
-        out = []
-        for rho in self.roots:
-            if self.rank == 1:
-                out.append(rho)
-                continue
-            if det == 0:
-                raise ValueError("proportional roots do not span a rank-2 lattice")
-            # Solve s*gamma + t*delta = rho over the rationals, keep integer hits.
-            s = Fraction(rho[0] * delta[1] - rho[1] * delta[0], det)
-            t = Fraction(gamma[0] * rho[1] - gamma[1] * rho[0], det)
-            if s.denominator == 1 and t.denominator == 1:
-                out.append(rho)
-        return out
+        if self.rank == 1:
+            return list(self.roots)
+        if gamma[0] * delta[1] - gamma[1] * delta[0] == 0:
+            raise ValueError("proportional roots do not span a rank-2 lattice")
+        return [rho for rho in self.roots if base_coords(rho, gamma, delta) is not None]
 
     def rank2_base(self, gamma: Root, delta: Root):
         """Base of the rank-2 subsystem with gamma, delta nonnegative.
@@ -208,14 +216,6 @@ class RootSystem:
         count = len(sub)
         half = count // 2
         same_sign = self._is_positive(gamma) == self._is_positive(delta)
-
-        def coords(rho, s, t):
-            det = s[0] * t[1] - s[1] * t[0]
-            x = rho[0] * t[1] - rho[1] * t[0]
-            y = s[0] * rho[1] - s[1] * rho[0]
-            if x % det or y % det:
-                return None
-            return (x // det, y // det)
 
         best = None
         for s in sorted(sub):
@@ -233,7 +233,7 @@ class RootSystem:
                 ok = True
                 nonneg = 0
                 for rho in sub:
-                    cc = coords(rho, s, t)
+                    cc = base_coords(rho, s, t)
                     if cc is None:
                         ok = False
                         break

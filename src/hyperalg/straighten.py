@@ -15,10 +15,14 @@ power u up to a shift of weight, u * H = H(. - wt u) * u, so the loop
 keeps one table left of each word instead of torus items in it.  It
 applies same-root merges, the raising/lowering collision rule, commuting
 and the rank-2 reorder patterns; the raising x lowering products of
-`multiply` are a memoized adapter over it.  One-sign products
-(`mul_signed`) fold the left factor in one divided power at a time, so
-each word straightened there is one divided power times a normal
-monomial, memoized as a left action.
+`multiply` are a memoized adapter over it.  The reorder patterns are
+data: each output root carries a factor (k, *names), an integer times
+named bracket constants, and the output monomials are the exponent
+vectors of the pair's weight over the pattern's base coordinates, which
+`exps_of_weight` enumerates as the inverse of `exps_sum`.  One-sign
+products (`mul_signed`) fold the left factor in one divided power at a
+time, so each word straightened there is one divided power times a
+normal monomial, memoized as a left action.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .chevalley import StructureConstants
 from .linalg import row_reduce
-from .rootdata import Root, RootSystem, Weight
+from .rootdata import Root, RootSystem, Weight, base_coords
 
 _STEP_LIMIT = 50_000_000
 # Torus tables are int16: a product of two residues must fit.
@@ -71,6 +75,37 @@ def exps_sum(exps: Sequence[int], vectors: Sequence[Sequence[int]]) -> Tuple[int
     return tuple(out)
 
 
+def exps_of_weight(
+    target: Sequence[int], vectors: Sequence[Sequence[int]]
+) -> List[Tuple[int, ...]]:
+    """Every exps >= 0 with exps_sum(exps, vectors) == target, in
+    lexicographic order.
+
+    The target and vectors have two coordinates, the vectors are
+    nonnegative and nonzero, and the last two are not proportional: all
+    but the last two exponents are enumerated, and those two solved by
+    `base_coords`.
+    """
+    if len(target) != 2:
+        raise ValueError(f"exps_of_weight needs a rank-2 target, not {tuple(target)}")
+    *mids, s, t = vectors
+    out: List[Tuple[int, ...]] = []
+
+    def rec(rem: Tuple[int, int], acc: Tuple[int, ...]) -> None:
+        if len(acc) == len(mids):
+            xy = base_coords(rem, s, t)
+            if xy is not None and min(xy) >= 0:
+                out.append(acc + xy)
+            return
+        v = mids[len(acc)]
+        bound = min(rem[i] // v[i] for i in range(2) if v[i] > 0)
+        for n in range(bound + 1):
+            rec((rem[0] - n * v[0], rem[1] - n * v[1]), acc + (n,))
+
+    rec(tuple(target), ())
+    return out
+
+
 # (table side, rank, weight mod side) -> flat index of the shifted table,
 # or None for the zero shift.  Shared by all engines, so that a fresh
 # engine finds its indices built; a table shape holds at most side^rank
@@ -87,15 +122,16 @@ def _shift_index(size: int, rank: int, w: Tuple[int, ...]) -> Optional[np.ndarra
     return flat
 
 
-# (table side, rank, coroot coefficients, c mod side) -> index into a
-# binomial lookup table: entry lam of the index is <lam, coroot> + c mod
-# side.  Shared by all engines, like _SHIFT_INDEX.
-_ROOT_INDEX: Dict[Tuple[int, int, Tuple[int, ...], int], np.ndarray] = {}
+# (table side, rank, coroot coefficients) -> index into a binomial lookup
+# table: entry lam of the index is <lam, coroot> mod side.  The constant c
+# of binom(h + c, n) lives in the lookup table (Engine._lut), so one index
+# serves every c.  Shared by all engines, like _SHIFT_INDEX.
+_ROOT_INDEX: Dict[Tuple[int, int, Tuple[int, ...]], np.ndarray] = {}
 
 
-def _root_index(size: int, rank: int, coeffs: Tuple[int, ...], c: int) -> np.ndarray:
+def _root_index(size: int, rank: int, coeffs: Tuple[int, ...]) -> np.ndarray:
     grids = np.indices((size,) * rank)
-    idx = np.full((size,) * rank, c, dtype=np.int64)
+    idx = np.zeros((size,) * rank, dtype=np.int64)
     for i, d in enumerate(coeffs):
         if d:
             idx = idx + d * grids[i]
@@ -164,15 +200,17 @@ class HPart:
     def shift(self, w: Weight) -> "HPart":
         """Table for lam -> value at lam + w, on each batch entry."""
         arr = self.arr
-        rank = len(w)
         size = arr.shape[-1]
+        if size == 1:
+            return self  # a constant table; tables are never written in place
+        rank = len(w)
         key = (size, rank, tuple(wi % size for wi in w))
         try:
             idx = _SHIFT_INDEX[key]
         except KeyError:
             idx = _SHIFT_INDEX[key] = _shift_index(*key)
         if idx is None:
-            return HPart(arr, self.p, self.level)
+            return self
         flat = arr.reshape(arr.shape[:-rank] + (-1,))
         return HPart(flat.take(idx, axis=-1), self.p, self.level)
 
@@ -370,16 +408,17 @@ class Engine:
 
     # -- torus-part builders --------------------------------------------
 
-    def _lut(self, n: int, level: int) -> np.ndarray:
+    def _lut(self, n: int, level: int, c: int) -> np.ndarray:
+        """binom(x + c, n) mod p for x = 0 .. p^level - 1."""
+        size = self.p**level
         key = (n, level)
-        cached = self._binom_lut.get(key)
-        if cached is None:
-            size = self.p**level
-            cached = np.array(
-                [lucas_binom(x, n, self.p) for x in range(size)], dtype=np.int16
-            )
-            self._binom_lut[key] = cached
-        return cached
+        twice = self._binom_lut.get(key)
+        if twice is None:
+            # Two periods of the table, so that every c is a slice of it.
+            once = [lucas_binom(x, n, self.p) for x in range(size)]
+            twice = self._binom_lut[key] = np.array(once * 2, dtype=np.int16)
+        c %= size
+        return twice[c : c + size]
 
     def binom_h_simple(self, i: int, n: int, level: int) -> HPart:
         """Table of the binomial coefficient of the i-th Cartan generator."""
@@ -392,12 +431,11 @@ class Engine:
             raise InsufficientLevelError(
                 f"binomial degree {n} needs level above {level}"
             )
-        size = self.p**level
-        key = (size, self.rs.rank, tuple(self.sc.coroot_coeffs(gamma)), c % size)
+        key = (self.p**level, self.rs.rank, tuple(self.sc.coroot_coeffs(gamma)))
         idx = _ROOT_INDEX.get(key)
         if idx is None:
             idx = _ROOT_INDEX[key] = _root_index(*key)
-        return HPart(self._lut(n, level)[idx], self.p, level)
+        return HPart(self._lut(n, level, c)[idx], self.p, level)
 
     def hpart_from_binomial_basis(
         self, coeffs: Dict[Tuple[int, ...], int], level: int
@@ -450,74 +488,83 @@ class Engine:
     _PATTERNS = {
         # Keyed by subsystem root count, then by the base coordinates of
         # the left and right factor.  Each output entry is (base coords,
-        # symbolic weight factor); the factor symbols are resolved per
-        # base from the bracket constants.
+        # weight factor); a factor (k, *names) is the integer k times the
+        # named bracket constants of the base (_base_constants).  The
+        # output monomials are the exponent vectors over these coordinates
+        # of the pair's weight, enumerated by exps_of_weight.
         6: {
-            ((1, 0), (0, 1)): [((0, 1), "1"), ((1, 1), "c1"), ((1, 0), "1")],
-            ((0, 1), (1, 0)): [((1, 0), "1"), ((1, 1), "-c1"), ((0, 1), "1")],
+            ((1, 0), (0, 1)): [((0, 1), (1,)), ((1, 1), (1, "c1")), ((1, 0), (1,))],
+            ((0, 1), (1, 0)): [((1, 0), (1,)), ((1, 1), (-1, "c1")), ((0, 1), (1,))],
         },
         8: {
             ((1, 0), (0, 1)): [
-                ((0, 1), "1"),
-                ((1, 1), "c1"),
-                ((2, 1), "c1*c2"),
-                ((1, 0), "1"),
+                ((0, 1), (1,)),
+                ((1, 1), (1, "c1")),
+                ((2, 1), (1, "c1", "c2")),
+                ((1, 0), (1,)),
             ],
             ((0, 1), (1, 0)): [
-                ((1, 0), "1"),
-                ((2, 1), "c1*c2"),
-                ((1, 1), "-c1"),
-                ((0, 1), "1"),
+                ((1, 0), (1,)),
+                ((2, 1), (1, "c1", "c2")),
+                ((1, 1), (-1, "c1")),
+                ((0, 1), (1,)),
             ],
-            ((1, 0), (1, 1)): [((1, 1), "1"), ((2, 1), "2*c2"), ((1, 0), "1")],
-            ((1, 1), (1, 0)): [((1, 0), "1"), ((2, 1), "-2*c2"), ((1, 1), "1")],
+            ((1, 0), (1, 1)): [((1, 1), (1,)), ((2, 1), (2, "c2")), ((1, 0), (1,))],
+            ((1, 1), (1, 0)): [((1, 0), (1,)), ((2, 1), (-2, "c2")), ((1, 1), (1,))],
         },
         12: {
             ((1, 0), (0, 1)): [
-                ((0, 1), "1"),
-                ((1, 1), "c1"),
-                ((3, 2), "c2*c4"),
-                ((2, 1), "c1*c2"),
-                ((3, 1), "c1*c2*c3"),
-                ((1, 0), "1"),
+                ((0, 1), (1,)),
+                ((1, 1), (1, "c1")),
+                ((3, 2), (1, "c2", "c4")),
+                ((2, 1), (1, "c1", "c2")),
+                ((3, 1), (1, "c1", "c2", "c3")),
+                ((1, 0), (1,)),
             ],
             ((0, 1), (1, 0)): [
-                ((1, 0), "1"),
-                ((3, 1), "-c1*c2*c3"),
-                ((2, 1), "c1*c2"),
-                ((3, 2), "c2*c4"),
-                ((1, 1), "-c1"),
-                ((0, 1), "1"),
+                ((1, 0), (1,)),
+                ((3, 1), (-1, "c1", "c2", "c3")),
+                ((2, 1), (1, "c1", "c2")),
+                ((3, 2), (1, "c2", "c4")),
+                ((1, 1), (-1, "c1")),
+                ((0, 1), (1,)),
             ],
             ((1, 0), (1, 1)): [
-                ((1, 1), "1"),
-                ((3, 2), "3*c2*c4"),
-                ((2, 1), "2*c2"),
-                ((3, 1), "3*c2*c3"),
-                ((1, 0), "1"),
+                ((1, 1), (1,)),
+                ((3, 2), (3, "c2", "c4")),
+                ((2, 1), (2, "c2")),
+                ((3, 1), (3, "c2", "c3")),
+                ((1, 0), (1,)),
             ],
             ((1, 1), (1, 0)): [
-                ((1, 0), "1"),
-                ((3, 1), "3*c2*c3"),
-                ((2, 1), "-2*c2"),
-                ((3, 2), "3*c2*c4"),
-                ((1, 1), "1"),
+                ((1, 0), (1,)),
+                ((3, 1), (3, "c2", "c3")),
+                ((2, 1), (-2, "c2")),
+                ((3, 2), (3, "c2", "c4")),
+                ((1, 1), (1,)),
             ],
-            ((1, 0), (2, 1)): [((2, 1), "1"), ((3, 1), "3*c3"), ((1, 0), "1")],
-            ((2, 1), (1, 0)): [((1, 0), "1"), ((3, 1), "-3*c3"), ((2, 1), "1")],
-            ((2, 1), (1, 1)): [((1, 1), "1"), ((3, 2), "3*c4"), ((2, 1), "1")],
-            ((1, 1), (2, 1)): [((2, 1), "1"), ((3, 2), "-3*c4"), ((1, 1), "1")],
-            ((3, 1), (0, 1)): [((0, 1), "1"), ((3, 2), "-c1*c3*c4"), ((3, 1), "1")],
-            ((0, 1), (3, 1)): [((3, 1), "1"), ((3, 2), "c1*c3*c4"), ((0, 1), "1")],
+            ((1, 0), (2, 1)): [((2, 1), (1,)), ((3, 1), (3, "c3")), ((1, 0), (1,))],
+            ((2, 1), (1, 0)): [((1, 0), (1,)), ((3, 1), (-3, "c3")), ((2, 1), (1,))],
+            ((2, 1), (1, 1)): [((1, 1), (1,)), ((3, 2), (3, "c4")), ((2, 1), (1,))],
+            ((1, 1), (2, 1)): [((2, 1), (1,)), ((3, 2), (-3, "c4")), ((1, 1), (1,))],
+            ((3, 1), (0, 1)): [
+                ((0, 1), (1,)),
+                ((3, 2), (-1, "c1", "c3", "c4")),
+                ((3, 1), (1,)),
+            ],
+            ((0, 1), (3, 1)): [
+                ((3, 1), (1,)),
+                ((3, 2), (1, "c1", "c3", "c4")),
+                ((0, 1), (1,)),
+            ],
         },
     }
 
     def _base_constants(self, s: Root, t: Root, count: int) -> Dict[str, int]:
         sc = self.sc
         add = lambda x, y: tuple(u + v for u, v in zip(x, y))
-        consts = {"1": 1}
         a_pb = add(s, t)
-        consts["c1"] = sc.bracket_const(s, t)
+        consts = {"c1": sc.bracket_const(s, t)}
         if count >= 8:
             b_2ab = add(s, a_pb)
             consts["c2"] = sc.bracket_const(s, a_pb) // 2
@@ -525,20 +572,6 @@ class Engine:
             consts["c3"] = sc.bracket_const(s, b_2ab) // 3
             consts["c4"] = sc.bracket_const(b_2ab, a_pb) // 3
         return consts
-
-    def _resolve_factor(self, expr: str, consts: Dict[str, int]) -> int:
-        val = 1
-        neg = False
-        for tok in expr.split("*"):
-            tok = tok.strip()
-            if tok.startswith("-"):
-                neg = not neg
-                tok = tok[1:]
-            if tok.isdigit():
-                val *= int(tok)
-            else:
-                val *= consts[tok]
-        return -val if neg else val
 
     def reorder_pair(
         self, gamma: Root, a: int, delta: Root, b: int
@@ -553,55 +586,25 @@ class Engine:
         cached = self._reorder_cache.get(key)
         if cached is not None:
             return cached
+        p = self.p
         s, t, cg, cd, count = self.rs.rank2_base(gamma, delta)
         pattern = self._PATTERNS[count][(cg, cd)]
         consts = self._base_constants(s, t, count)
-        factors = [self._resolve_factor(expr, consts) for _, expr in pattern]
-        roots = [
-            tuple(x * s[i] + y * t[i] for i in range(self.rs.rank))
-            for (x, y), _ in pattern
+        coords = [xy for xy, _ in pattern]
+        roots = [tuple(x * u + y * v for u, v in zip(s, t)) for x, y in coords]
+        factors = [
+            math.prod((consts[c] for c in names), start=k) % p
+            for _, (k, *names) in pattern
         ]
-        base_coords = [bc for bc, _ in pattern]
-        target = (
-            a * cg[0] + b * cd[0],
-            a * cg[1] + b * cd[1],
-        )
+        # The middle roots are enumerated in pattern order and the outer
+        # two solved, then the exponents are put back in pattern order.
         out: List[Tuple[int, Tuple[Tuple[Root, int], ...]]] = []
-        mids = base_coords[1:-1]
-        first = base_coords[0]
-        last = base_coords[-1]
-        det = first[0] * last[1] - first[1] * last[0]
-
-        def rec(pos: int, rem: Tuple[int, int], chosen: List[int]):
-            if pos == len(mids):
-                # Solve t_first * first + t_last * last = rem.
-                x_num = rem[0] * last[1] - rem[1] * last[0]
-                y_num = first[0] * rem[1] - first[1] * rem[0]
-                if x_num % det or y_num % det:
-                    return
-                t_first, t_last = x_num // det, y_num // det
-                if t_first < 0 or t_last < 0:
-                    return
-                exps = [t_first] + chosen + [t_last]
-                coeff = 1
-                for e, f in zip(exps, factors):
-                    if e:
-                        coeff = coeff * pow(f % self.p, e, self.p) % self.p
-                if coeff == 0:
-                    return
-                frag = tuple(
-                    (roots[i], exps[i]) for i in range(len(exps)) if exps[i]
-                )
-                out.append((coeff, frag))
-                return
-            bc = mids[pos]
-            bound = min(
-                rem[i] // bc[i] for i in range(2) if bc[i] > 0
-            )
-            for e in range(bound + 1):
-                rec(pos + 1, (rem[0] - e * bc[0], rem[1] - e * bc[1]), chosen + [e])
-
-        rec(0, target, [])
+        target = exps_sum((a, b), (cg, cd))
+        for e in exps_of_weight(target, coords[1:-1] + [coords[0], coords[-1]]):
+            exps = (e[-2],) + e[:-2] + (e[-1],)
+            coeff = math.prod(pow(f, n, p) for f, n in zip(factors, exps)) % p
+            if coeff:
+                out.append((coeff, tuple((r, n) for r, n in zip(roots, exps) if n)))
         self._reorder_cache[key] = out
         return out
 

@@ -186,6 +186,9 @@ def test_mul_rejects_unsupported_prime(capsys, p):
         ["mul", "e[1]^(1)", "f[1]^(1)", "--p", "2", "--level", "0"],
         ["verify", "--statement", "Thm4.5-first", "--type", "A1", "--p", "2", "--r", "-1"],
         ["verify", "--statement", "Thm4.5-first", "--type", "A1", "--p", "2", "--n", "0"],
+        ["fr", "e[1]^(2)", "--r", "-1"],
+        ["frsplit", "e[1]^(2)", "--r", "-1"],
+        ["basis", "--r", "-1"],
     ],
 )
 def test_rejects_out_of_range_level_and_depth(capsys, argv):
@@ -194,6 +197,16 @@ def test_rejects_out_of_range_level_and_depth(capsys, argv):
     assert code == 1
     assert captured.out == ""
     assert captured.err.startswith("error:")
+
+
+def test_depth_zero_is_the_identity(capsys):
+    x = "e[1]^(2)*f[1]^(1)"
+    _, normal = run_cli(capsys, "normalize", x)
+    for cmd in ("fr", "frsplit"):
+        assert run_cli(capsys, cmd, x, "--r", "0") == (0, normal)
+    code, out = run_cli(capsys, "basis", "--r", "0")
+    assert code == 0
+    assert json.loads(out)["elements"] == ["1"]
 
 
 # sha256 of the JSON each command prints, pinned so that an engine change

@@ -1,5 +1,6 @@
 """Engine unit tests: rewrite rules, torus tables, support shapes."""
 
+import hashlib
 import itertools
 import math
 import random
@@ -11,7 +12,10 @@ from hypothesis import given, settings, strategies as st
 from hyperalg.frobenius import Frobenius
 from hyperalg.qoracle import QOracle
 from hyperalg.rootdata import build_root_system
-from hyperalg.straighten import Engine, HPart, InsufficientLevelError, lucas_binom
+from hyperalg import straighten
+from hyperalg.straighten import (
+    Engine, HPart, InsufficientLevelError, exps_of_weight, exps_sum, lucas_binom
+)
 
 SYSTEMS = ["A2", "B2", "G2"]
 
@@ -406,10 +410,12 @@ def _binom_root_direct(eng, gamma, c, n, level):
     return out
 
 
-def test_binom_h_root_matches_direct_construction():
+def test_binom_h_root_matches_direct_construction(monkeypatch):
     rng = random.Random(23)
     for label in ("A2", "B2", "G2"):
         for p in (2, 3):
+            index = {}
+            monkeypatch.setattr(straighten, "_ROOT_INDEX", index)
             eng = engine_for(label, p)
             level = 2
             size = p**level
@@ -432,6 +438,9 @@ def test_binom_h_root_matches_direct_construction():
                     got = eng.binom_h_simple(i, n, level)
                     assert got.arr.dtype == np.int16
                     assert np.array_equal(got.arr, want), (label, p, i, n)
+            # the several values of c above share one index per coroot
+            coroots = {tuple(eng.sc.coroot_coeffs(g)) for g in eng.rs.roots}
+            assert set(index) == {(size, eng.rs.rank, d) for d in coroots}
 
 
 
@@ -615,3 +624,55 @@ def test_accumulate_drops_zero_sums():
     f = eng.divided_power((-1, 0), 1, level)
     diff = eng.multiply(e, f).sub(eng.multiply(f, e))
     assert list(diff.terms) == [((0,) * 3, (0,) * 3)]
+
+
+def _exps_lists():
+    for label in ("A2", "B2", "G2"):
+        yield label, build_root_system(label).convex_roots
+    for count, patterns in Engine._PATTERNS.items():
+        for pair, pattern in patterns.items():
+            yield f"{count}{pair}", [xy for xy, _ in pattern]
+
+
+@pytest.mark.parametrize("name,vectors", list(_exps_lists()))
+def test_exps_of_weight_matches_brute_force(name, vectors):
+    # Each vector has a positive coordinate, so no exponent of a target
+    # with coordinates at most bound exceeds bound: the box holds them all.
+    bound = 4
+    by_target = {}
+    for exps in itertools.product(range(bound + 1), repeat=len(vectors)):
+        by_target.setdefault(exps_sum(exps, vectors), []).append(exps)
+    for target in itertools.product(range(bound + 1), repeat=2):
+        assert exps_of_weight(target, vectors) == by_target.get(target, []), target
+
+
+def test_exps_of_weight_refuses_rank_one():
+    with pytest.raises(ValueError, match="rank-2 target"):
+        exps_of_weight((2,), build_root_system("A1").convex_roots)
+
+
+# sha256 of repr(((gamma, a, delta, b), reorder_pair(gamma, a, delta, b)))
+# over every ordered pair of roots whose sum is a root and 1 <= a, b <= 3,
+# in root order, pinned so that any change of coefficient, fragment or
+# term order shows here.
+_REORDER_PINS = {
+    ("A2", 3): "f488c953c329849d34a6a49cc8e5a690803991327f668dd48acb27b6e2a45d66",
+    ("A2", 5): "c65ed7ec20c0925e761849e3a90977dcc257e91fad1a87f68aa8359ae664ef8d",
+    ("B2", 3): "51ba3bc246ba92087aa3dd8c7495c86fbb1991166cf796676b61788713d1c475",
+    ("B2", 5): "15f0511a6b8c6b97a8e07b13778d5d7e7b7170a9a44005b05690de664d8fedc8",
+    ("G2", 3): "4c3ff15f4fb23bd5d9220da2396a76e0100c9306e8fa13884fd6005b2f0817c3",
+    ("G2", 5): "a4ce9c9c335a318d439d06d5d5a96f652ce7070e98c4dd9982520ffab1dfb758",
+}
+
+
+@pytest.mark.parametrize("label,p", list(_REORDER_PINS))
+def test_reorder_pair_is_pinned(label, p):
+    eng = engine_for(label, p)
+    rs = eng.rs
+    digest = hashlib.sha256()
+    for g, d in itertools.product(rs.roots, repeat=2):
+        if g == d or not rs.is_root(tuple(u + v for u, v in zip(g, d))):
+            continue
+        for a, b in itertools.product(range(1, 4), repeat=2):
+            digest.update(repr(((g, a, d, b), eng.reorder_pair(g, a, d, b))).encode())
+    assert digest.hexdigest() == _REORDER_PINS[label, p]
