@@ -187,24 +187,15 @@ class Frobenius:
 
     def fr_prime_plus(self, x: PBWElement, r: int = 1) -> PBWElement:
         """Splitting on the raising subalgebra; input must be raising-only."""
-        return self._fr_prime_signed(x, r, +1)
+        if any(any(a) or not h.is_periodic(0) for (a, _), h in x.terms.items()):
+            raise ValueError("element is not supported on a single sign")
+        return self.fr_prime(x, r)
 
     def fr_prime_minus(self, x: PBWElement, r: int = 1) -> PBWElement:
         """Splitting on the lowering subalgebra; input must be lowering-only."""
-        return self._fr_prime_signed(x, r, -1)
-
-    def _fr_prime_signed(self, x: PBWElement, r: int, sign: int) -> PBWElement:
-        engine = self.engine
-        out = engine.zero(x.level)
-        zero_nu = (0,) * engine.nu
-        for (a, b), h in x.terms.items():
-            wrong = b if sign < 0 else a
-            if wrong != zero_nu or not h.is_periodic(0):
-                raise ValueError("element is not supported on a single sign")
-            scalar = h.value((0,) * engine.rs.rank)
-            exps = a if sign < 0 else b
-            out = out.add(self._split_block(exps, sign, r, x.level).scale(scalar))
-        return out
+        if any(any(b) or not h.is_periodic(0) for (_, b), h in x.terms.items()):
+            raise ValueError("element is not supported on a single sign")
+        return self.fr_prime(x, r)
 
     def fr_prime_zero(self, h: HPart, r: int = 1) -> HPart:
         """Splitting on the torus part: binomial degrees n -> n*p^r."""

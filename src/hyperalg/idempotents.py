@@ -25,6 +25,8 @@ def enumerate_Xm(rs: RootSystem, p: int, m: int) -> List[Weight]:
 def mu_hpart(engine: Engine, lam: Weight, n: int, level: int) -> HPart:
     """Torus table of the idempotent: its defining binomial product, the
     product over i of binom(h_i - lam_i - 1, p^n - 1)."""
+    if len(lam) != engine.rs.rank:
+        raise ValueError(f"weight {tuple(lam)} has {len(lam)} entries, not rank {engine.rs.rank}")
     if n > level:
         raise InsufficientLevelError(
             f"idempotent at level {n} needs torus level at least {n}"

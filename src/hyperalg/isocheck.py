@@ -34,9 +34,11 @@ factor's images are checked against the target as they are made, so a
 map that leaves its target is refused before any column product.
 `_TargetIndex.split` then gathers the nonzero term tables of every
 column of every product into flat arrays and cuts them into weight
-blocks in one sorted pass.
-`_TargetIndex.entries` reads a block's live entries from its share, and
-`_TargetIndex.block` writes its dense matrix for a kernel witness.
+blocks in one sorted pass.  Each block keeps one sparse form, its
+entries nonzero modulo p, from `peel` to the witness: `_dense` writes
+the submatrix left over after peeling, and the whole block for a kernel
+witness.  Source labels are kept per factor; a label is joined only for
+each column of a witness.
 
 No index of the target's rows is built in advance: `split` takes each
 block's rows from the products, in sorted key order, the order of the
@@ -47,6 +49,7 @@ target basis.  The target is a dimension and a membership test, read from
 from __future__ import annotations
 
 import json
+import math
 import time
 
 from dataclasses import dataclass
@@ -278,15 +281,17 @@ class _TargetIndex:
         """Cut `_build_columns` products into weight blocks, emptying the
         list parts as it goes, so that each product is freed once cut.
 
-        Returns weight -> (cols, rows, offsets, entry_cols, values): cols
-        are the block's column numbers in increasing order, rows its keys
-        in sorted order, and row i of values holds the coordinates of one
-        nonzero term of column entry_cols[i], whose key is
-        rows[offsets[i]].  A column whose terms have more than one weight
-        raises ValueError, a term outside the target RuntimeError, and a
-        zero column goes to the zero weight.
+        Returns weight -> (cols, n_rows, rows, places, residues), the
+        block's sparse form: cols are its column numbers in increasing
+        order, n_rows is hsize times the number of keys it meets, and
+        each entry that is nonzero modulo p sits in row rows[i] (offset *
+        hsize + j, for table entry j of the block's offset-th key in
+        sorted order), column cols[places[i]], with value residues[i].  A
+        column whose terms have more than one weight raises ValueError, a
+        term outside the target RuntimeError, and a zero column goes to
+        the zero weight.
         """
-        hsize = self.hsize
+        hsize, p = self.hsize, self.engine.p
         seen, run_keys, col_runs, tables = [], [], [], []
         while parts:
             cols, prod = parts.pop()
@@ -337,47 +342,34 @@ class _TargetIndex:
             raise RuntimeError(
                 f"term {keys[k]} falls outside its weight block {names[key_weight[k]]}"
             )
-        out: Dict[Tuple[int, ...], Tuple] = {}
         bounds = np.flatnonzero(np.diff(weight_at, prepend=-1, append=-1))
-        for start, stop in zip(bounds[:-1], bounds[1:]):
-            # The block's rows: the keys it meets, numbered in key order.
-            at = key_at[start:stop]
-            rows = np.unique(at)
-            out[names[weight_at[start]]] = (
-                col[start:stop][first[start:stop]],
-                [keys[k] for k in rows],
-                np.searchsorted(rows, at),
-                col[start:stop],
-                values[start:stop],
-            )
+        spans = {names[weight_at[a]]: slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])}
+        # Zero columns join the zero weight block.
+        zero = (0,) * self.engine.rs.rank
         empty = np.setdiff1d(np.concatenate(seen), taken)
         if empty.size:
-            zero = (0,) * self.engine.rs.rank
-            cols, *entries = out.get(zero) or (
-                empty, [], key_at[:0], col[:0], values[:0]
-            )
-            out[zero] = (np.union1d(cols, empty), *entries)
+            spans.setdefault(zero, slice(0, 0))
+        out: Dict[Tuple[int, ...], Tuple] = {}
+        for w, at in spans.items():
+            cols = np.union1d(col[at][first[at]], empty) if w == zero else col[at][first[at]]
+            # The block's rows: the keys it meets, numbered in key order.
+            met = np.unique(key_at[at])
+            residues = values[at] % p
+            i, j = np.nonzero(residues)
+            rows = np.searchsorted(met, key_at[at][i]) * hsize + j
+            places = np.searchsorted(cols, col[at][i])
+            out[w] = (cols, met.size * hsize, rows, places, residues[i, j])
         return out
 
-    def block(self, piece: Tuple) -> Tuple[np.ndarray, np.ndarray]:
-        """Matrix of one weight block from its `split` piece, and the
-        column numbers of its columns, which are in increasing order."""
-        cols, rows, offsets, entry_cols, values = piece
-        mat = np.zeros((len(rows), self.hsize, len(cols)), dtype=np.int64)
-        mat[offsets, :, np.searchsorted(cols, entry_cols)] = values
-        return mat.reshape(-1, len(cols)), cols
 
-    def entries(self, piece: Tuple) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Row, column and residue of every entry of `block(piece)` that is
-        nonzero modulo p, read from the piece without the dense matrix."""
-        cols, _, offsets, entry_cols, values = piece
-        residues = values % self.engine.p
-        i, j = np.nonzero(residues)
-        return (
-            offsets[i] * self.hsize + j,
-            np.searchsorted(cols, entry_cols[i]),
-            residues[i, j],
-        )
+def _dense(piece: Tuple, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """The submatrix of a `split` block on the given row and column
+    positions, both increasing, as int64 residues."""
+    _, _, at_row, at_col, residues = piece
+    keep = np.isin(at_row, rows) & np.isin(at_col, cols)
+    mat = np.zeros((len(rows), len(cols)), dtype=np.int64)
+    mat[np.searchsorted(rows, at_row[keep]), np.searchsorted(cols, at_col[keep])] = residues[keep]
+    return mat
 
 
 def _basis_groups(basis: Sequence[Tuple[str, PBWElement]]) -> List[List[int]]:
@@ -421,13 +413,15 @@ def _image(fro: Frobenius, x: PBWElement, power: Optional[int]) -> PBWElement:
 
 
 def _build_columns(spec: MapSpec, engine: Engine, fro: Frobenius, level: int):
-    """The map's columns, as (labels, parts).
+    """The map's columns, as (names, parts).
 
-    labels are the source labels in column order.  Each part is (cols,
-    product), cols a 2-D array: column cols[s, t] is slice [s, t] of
-    every torus table of the product, which carries cols.shape as leading
-    batch axes.  A term of a factor's images outside the target raises
-    RuntimeError before any product is made.
+    names holds each factor's basis labels: column c is the source tuple
+    `np.unravel_index(c, [len(n) for n in names])`, the first factor
+    most significant.  Each part is (cols, product), cols a 2-D array:
+    column cols[s, t] is slice [s, t] of every torus table of the
+    product, which carries cols.shape as leading batch axes.  A term of a
+    factor's images outside the target raises RuntimeError before any
+    product is made.
     """
     space = _STATEMENT_SPACE[spec.statement]
     holds = _TargetIndex(engine, space, level).holds
@@ -447,7 +441,6 @@ def _build_columns(spec: MapSpec, engine: Engine, fro: Frobenius, level: int):
             (group, _stack(engine, [images[j] for j in group], (1, len(group))))
             for group in _basis_groups(basis)
         ]))
-    labels = [" * ".join(combo) for combo in iproduct(*names)]
     # Fold the factors into column products, from the first factor's
     # stacks: the products so far, as batch (L, 1), times each key group of
     # the next factor's images, as (1, R).
@@ -459,7 +452,7 @@ def _build_columns(spec: MapSpec, engine: Engine, fro: Frobenius, level: int):
             folded += [(np.add.outer(cols.ravel() * size, group), engine.multiply(xs, ys))
                        for group, ys in stacks]
         parts = folded
-    return labels, parts
+    return names, parts
 
 
 def _check_multiplicative(
@@ -495,20 +488,24 @@ def verify(
     engine: Optional[Engine] = None,
     column_cap: int = 2**16,
 ) -> VerificationReport:
-    """Certify one statement by exact blockwise rank computation."""
+    """Certify one statement by exact blockwise rank computation; a given
+    engine must be on the spec's root system and prime."""
     t0 = time.monotonic()
-    rs = build_root_system(spec.system)
     depth = max(d + (power or 0) for d, power in _factors(spec))
     if engine is None:
-        engine = Engine(rs, spec.p)
+        engine = Engine(build_root_system(spec.system), spec.p)
+    elif (engine.rs.type_label, engine.p) != (spec.system, spec.p):
+        raise ValueError(f"engine on {engine.rs.type_label}, p={engine.p} does not "
+                         f"match the spec's {spec.system}, p={spec.p}")
     space = _STATEMENT_SPACE[spec.statement]
     target = _TargetIndex(engine, space, depth)
     # A bijective map has as many columns as the target has rows.
     if target.dim > column_cap:
         raise ValueError(f"{target.dim} columns exceed the cap {column_cap}")
     fro = Frobenius(engine)
-    labels, parts = _build_columns(spec, engine, fro, depth)
-    source_dim = len(labels)
+    names, parts = _build_columns(spec, engine, fro, depth)
+    sizes = [len(n) for n in names]
+    source_dim = math.prod(sizes)
     if source_dim != target.dim:
         raise RuntimeError(
             f"source dimension {source_dim} differs from target {target.dim}"
@@ -518,24 +515,22 @@ def verify(
     blocks = []
     witness = None
     for w in sorted(pieces):
-        cols, keys = pieces[w][:2]
-        rows, places, values = target.entries(pieces[w])
-        pivots, left_rows, left_cols = peel(
-            rows, places, len(keys) * target.hsize, len(cols)
-        )
+        piece = pieces[w]
+        cols, n_rows, rows, places, _ = piece
+        pivots, left_rows, left_cols = peel(rows, places, n_rows, len(cols))
         # Peeling changes no value, so what is left is a submatrix.
-        rest = np.isin(rows, left_rows) & np.isin(places, left_cols)
-        left = np.zeros((left_rows.size, left_cols.size), dtype=np.int64)
-        left[np.searchsorted(left_rows, rows[rest]),
-             np.searchsorted(left_cols, places[rest])] = values[rest]
-        rk = len(pivots) + rank_fp(left, spec.p)
+        rk = len(pivots) + rank_fp(_dense(piece, left_rows, left_cols), spec.p)
         blocks.append({"weight": list(w), "dim": len(cols), "rank": rk})
         total_rank += rk
         if rk < len(cols) and witness is None:
-            vec = _kernel_vector(target.block(pieces[w])[0], spec.p)
+            vec = _kernel_vector(
+                _dense(piece, np.arange(n_rows), np.arange(len(cols))), spec.p
+            )
             if vec is not None:
+                # Column c is the source tuple unravel_index(c, sizes).
                 witness = [
-                    (int(c), labels[cols[j]])
+                    (int(c), " * ".join(
+                        n[i] for n, i in zip(names, np.unravel_index(cols[j], sizes))))
                     for j, c in enumerate(vec)
                     if c % spec.p
                 ]

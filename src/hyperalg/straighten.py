@@ -173,9 +173,6 @@ class HPart:
             raise ValueError(f"torus level {level} must be at least 1")
         return (p**level,) * rank
 
-    def copy(self) -> "HPart":
-        return HPart(self.arr.copy(), self.p, self.level)
-
     def is_zero(self) -> bool:
         return not self.arr.any()
 
@@ -289,9 +286,6 @@ class PBWElement:
         return self.sub(other).is_zero()
 
     # -- structure ------------------------------------------------------
-
-    def weight_of_term(self, key) -> Weight:
-        return self.engine.term_weight(key)
 
     def in_truncation(self, r: int) -> bool:
         bound = self.engine.p**r

@@ -189,6 +189,8 @@ def test_mul_rejects_unsupported_prime(capsys, p):
         ["fr", "e[1]^(2)", "--r", "-1"],
         ["frsplit", "e[1]^(2)", "--r", "-1"],
         ["basis", "--r", "-1"],
+        ["mu", "--lambda", "1", "--n", "1", "--type", "A2"],
+        ["mu", "--lambda", "1 0", "--n", "1", "--type", "A1"],
     ],
 )
 def test_rejects_out_of_range_level_and_depth(capsys, argv):

@@ -158,6 +158,11 @@ def test_split_rejects_mixed_sign_input():
     )
     with pytest.raises(ValueError):
         fr.fr_prime_plus(x)
+    # a one-sign element of the other sign, constant torus part included
+    with pytest.raises(ValueError):
+        fr.fr_prime_plus(eng.divided_power((-1, 0), 1, 2))
+    with pytest.raises(ValueError):
+        fr.fr_prime_minus(eng.divided_power((1, 0), 1, 2))
 
 
 def test_simple_word_table_g2_block():

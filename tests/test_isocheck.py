@@ -16,6 +16,7 @@ from hyperalg.isocheck import (
     MapSpec,
     _SPACES,
     _build_columns,
+    _dense,
     _kernel_vector,
     _TargetIndex,
     enumerate_basis,
@@ -246,10 +247,10 @@ def _source_factors(spec):
     return factors, max(d + (k or 0) for d, k in factors)
 
 
-def _split_columns(labels, parts):
+def _split_columns(n_cols, parts):
     """Every column of a `_build_columns` result as its own element:
     {key: table}, keeping only the keys whose table is nonzero."""
-    cols = [None] * len(labels)
+    cols = [None] * n_cols
     for idx, prod in parts:
         flat = np.ravel(idx)
         for s, col in enumerate(flat):
@@ -270,11 +271,14 @@ def _assert_batched_matches_per_column(spec, engine, sample=None):
     # column k, the first factor most significant.
     factors, level = _source_factors(spec)
     fro = Frobenius(engine)
-    labels, parts = _build_columns(spec, engine, fro, level)
-    batched = _split_columns(labels, parts)
+    factor_labels, parts = _build_columns(spec, engine, fro, level)
+    # the source labels, joined from the per-factor lists in column order
+    labels = [" * ".join(combo) for combo in itertools.product(*factor_labels)]
+    batched = _split_columns(len(labels), parts)
     space = isocheck._STATEMENT_SPACE[spec.statement]
     bases = [enumerate_basis(engine, space, d, level) for d, _ in factors]
     sizes = [len(b) for b in bases]
+    assert [len(n) for n in factor_labels] == sizes
     assert len(labels) == np.prod(sizes)
     picks = range(len(labels))
     if sample is not None and len(labels) > sample:
@@ -329,7 +333,7 @@ _SMALL_CASES = [
 def test_batched_columns_match_per_column(statement, system, p, r):
     spec = MapSpec(statement, system, p, r, 1)
     engine = Engine(build_root_system(system), p)
-    labels, parts = _assert_batched_matches_per_column(spec, engine)
+    _, parts = _assert_batched_matches_per_column(spec, engine)
     # every part is batched, a key group of one included: its column numbers
     # form a 2-D array, the leading batch axes of every table of its product
     for idx, prod in parts:
@@ -363,6 +367,11 @@ def _batched_part(eng, level, tables):
     return PBWElement(eng, level, terms)
 
 
+def _whole(piece):
+    """The dense matrix of a whole `split` block."""
+    return _dense(piece, np.arange(piece[1]), np.arange(len(piece[0])))
+
+
 def test_zero_slice_lands_in_zero_weight_block():
     eng = Engine(build_root_system("A1"), 2)
     level = 2
@@ -375,18 +384,16 @@ def test_zero_slice_lands_in_zero_weight_block():
     prod = _batched_part(eng, level, {key: [first, zero, ones]})
     pieces = target.split([(np.array([[7, 2, 5]]), prod)])
     assert set(pieces) == {w, (0,)}
-    cols, rows, offsets, entry_cols, values = pieces[w]
-    assert list(cols) == [5, 7] and list(entry_cols) == [5, 7]
-    # the block's only key is its only row
-    assert rows == [key] and list(offsets) == [0] * 2
-    assert np.array_equal(values, np.stack([ones, first]))
-    cols0, rows0, offsets0, entry_cols0, values0 = pieces[(0,)]
-    assert list(cols0) == [2] and rows0 == []
-    assert offsets0.size == entry_cols0.size == len(values0) == 0
-    mat, cols = target.block(pieces[(0,)])
-    assert list(cols) == [2] and mat.shape == (0, 1)
-    mat, cols = target.block(pieces[w])
-    assert list(cols) == [5, 7]
+    cols, n_rows, rows, places, residues = pieces[w]
+    assert list(cols) == [5, 7] and sorted(set(places.tolist())) == [0, 1]
+    # the block's only key is its only run of hsize rows
+    assert n_rows == target.hsize and rows.max() < target.hsize
+    assert (residues == 1).all() and len(residues) == 6
+    cols0, n_rows0, rows0, places0, residues0 = pieces[(0,)]
+    assert list(cols0) == [2] and n_rows0 == 0
+    assert rows0.size == places0.size == residues0.size == 0
+    assert _whole(pieces[(0,)]).shape == (0, 1)
+    mat = _whole(pieces[w])
     assert mat.shape == (target.hsize, 2)
     assert np.array_equal(mat, np.stack([ones, first], axis=1))
     assert mat.sum() == 6
@@ -465,13 +472,13 @@ def test_blocks_match_per_column_coordinates(spec):
     fro = Frobenius(engine)
     space = isocheck._STATEMENT_SPACE[spec.statement]
     target = _TargetIndex(engine, space, level)
-    labels, parts = _build_columns(spec, engine, fro, level)
+    _, parts = _build_columns(spec, engine, fro, level)
     pieces = target.split(parts)
     left = enumerate_basis(engine, space, spec.r, level)
     right = enumerate_basis(engine, space, spec.n, level)
     target_keys = _basis_keys(engine, space, level)
     columns = {}
-    for k in range(len(labels)):
+    for k in range(len(left) * len(right)):
         i, j = divmod(k, len(right))
         col = engine.multiply(left[i][1], fro.fr_prime(right[j][1], spec.r))
         weights = {engine.term_weight(key) for key in col.terms}
@@ -480,12 +487,12 @@ def test_blocks_match_per_column_coordinates(spec):
         columns.setdefault(w, []).append((k, col))
     assert set(pieces) == set(columns)
     for w, entries in columns.items():
-        rows = pieces[w][1]
-        assert rows == [key for key in target_keys if engine.term_weight(key) == w]
-        mat, cols = target.block(pieces[w])
+        cols, n_rows = pieces[w][:2]
+        rows = [key for key in target_keys if engine.term_weight(key) == w]
+        assert n_rows == len(rows) * target.hsize
         assert list(cols) == [k for k, _ in entries]
         want = _coordinates([col for _, col in entries], rows, target.hsize)
-        assert np.array_equal(mat, want)
+        assert np.array_equal(_whole(pieces[w]), want)
 
 
 def _basis_keys(engine, space, depth):
@@ -541,19 +548,19 @@ def test_blocks_missing_target_keys_keep_rank_and_kernel(monkeypatch, spec):
     level = spec.r + spec.n
     space = isocheck._STATEMENT_SPACE[spec.statement]
     target = _TargetIndex(engine, space, level)
-    labels, parts = _build_columns(spec, engine, Frobenius(engine), level)
+    _, parts = _build_columns(spec, engine, Frobenius(engine), level)
     pieces = target.split(parts)
     left = enumerate_basis(engine, space, spec.r, level)
     right = enumerate_basis(engine, space, spec.n, level)
     target_keys = _basis_keys(engine, space, level)
     short = 0
     for w, piece in pieces.items():
-        mat, cols = target.block(piece)
+        mat, cols = _whole(piece), piece[0]
         rows = [key for key in target_keys if engine.term_weight(key) == w]
         columns = [engine.multiply(left[k // len(right)][1], right[k % len(right)][1])
                    for k in cols]
         full = _coordinates(columns, rows, target.hsize)
-        short += len(rows) > len(piece[1])
+        short += len(rows) * target.hsize > piece[1]
         assert rank_fp(mat, spec.p) == rank_fp(full, spec.p)
         got, want = _kernel_vector(mat, spec.p), _kernel_vector(full, spec.p)
         assert (got is None) == (want is None)
@@ -618,16 +625,19 @@ def test_kernel_witness_is_a_kernel_vector(monkeypatch, spec, witness):
 def test_entries_skip_multiples_of_p(p):
     # A table value p (or 2p) is zero mod p: no live entry, so no pivot.
     eng = Engine(build_root_system("A1"), p)
-    target = _TargetIndex(eng, "full", 2)
+    level = 2
+    target = _TargetIndex(eng, "full", level)
     key = ((0,), (1,))
     values = np.zeros((2, target.hsize), dtype=np.int16)
     values[0, :2] = [1, p]
     values[1, 1:3] = [p - 1, 2 * p]
-    piece = (np.array([3, 8]), [key], np.array([0, 0]), np.array([3, 8]), values)
-    rows, cols, residues = target.entries(piece)
+    prod = _batched_part(eng, level, {key: list(values)})
+    (piece,) = target.split([(np.array([[3, 8]]), prod)]).values()
+    assert list(piece[0]) == [3, 8] and piece[1] == target.hsize
+    rows, cols, residues = piece[2:]
     assert sorted(zip(rows.tolist(), cols.tolist(), residues.tolist())) == [
         (0, 0, 1), (1, 1, p - 1)]
-    mat, _ = target.block(piece)
+    mat = _whole(piece)
     assert all(mat[r, c] % p == v for r, c, v in zip(rows, cols, residues))
     pivots, left_rows, left_cols = peel(rows, cols, *mat.shape)
     assert sorted(map(tuple, pivots.tolist())) == [(0, 0), (1, 1)]
@@ -665,6 +675,15 @@ def test_dense_leftover_path_gives_the_same_report(monkeypatch, spec, sabotaged,
     assert identity == (peeled.get("kernel_witness") is not None)
 
 
+@pytest.mark.parametrize("system,p", [("A2", 5), ("B2", 3)])
+def test_verify_refuses_an_engine_off_its_spec(system, p):
+    # An engine on another prime or root system would certify its own map
+    # under the spec's name.
+    spec = MapSpec("Thm4.5-first", "A2", 3, 1, 1)
+    with pytest.raises(ValueError, match="does not match"):
+        verify(spec, engine=Engine(build_root_system(system), p))
+
+
 def test_plus_columns_keep_constant_tables():
     # Every torus part of the raising algebra is constant, so no column
     # product of a plus statement builds a full table; the idempotents of
@@ -693,18 +712,18 @@ def test_split_broadcasts_constant_tables_on_the_zero_space():
     full = HPart(np.broadcast_to(const.arr, (3, 3)).copy(), eng.p, level)
     for h in (const, full):
         pieces = target.split([(np.array([[4]]), eng.hpart_element(h, level))])
-        cols, rows, offsets, entry_cols, values = pieces[(0, 0)]
-        assert list(cols) == [4] and rows == [key]
-        assert np.array_equal(values, np.full((1, 9), 2))
-        mat, _ = target.block(pieces[(0, 0)])
-        assert np.array_equal(mat, np.full((9, 1), 2))
+        cols, n_rows, rows, places, residues = pieces[(0, 0)]
+        assert list(cols) == [4] and n_rows == 9
+        assert list(rows) == list(range(9)) and not places.any()
+        assert np.array_equal(residues, np.full(9, 2))
+        assert np.array_equal(_whole(pieces[(0, 0)]), np.full((9, 1), 2))
     # batched: each column's constant fills its own rows
     stacked = PBWElement(eng, level, {key: HPart(
         np.array([1, 0, 2], dtype=np.int16).reshape(1, 3, 1, 1), eng.p, level)})
     pieces = target.split([(np.array([[0, 1, 2]]), stacked)])
-    cols, rows, offsets, entry_cols, values = pieces[(0, 0)]
-    assert list(cols) == [0, 1, 2] and list(entry_cols) == [0, 2]
-    assert np.array_equal(values, np.repeat([[1], [2]], 9, axis=1))
+    cols, n_rows, rows, places, residues = pieces[(0, 0)]
+    assert list(cols) == [0, 1, 2] and sorted(set(places.tolist())) == [0, 2]
+    assert np.array_equal(_whole(pieces[(0, 0)]), np.repeat([[1, 0, 2]], 9, axis=0))
 
 
 def test_rank2_bases_belong_to_the_root_system(monkeypatch):

@@ -149,7 +149,7 @@ def test_weight_grading():
         )
         prod = eng.multiply(x, y)
         for key in prod.terms:
-            assert prod.weight_of_term(key) == w
+            assert eng.term_weight(key) == w
 
 
 def test_binomial_periodicity():
