@@ -251,7 +251,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                 return 1
         return 0
     except (ParseError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 1
 
 

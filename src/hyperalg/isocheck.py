@@ -13,35 +13,32 @@ every row or column with one live entry as a pivot, which changes no other
 value, and `rank_fp` reduces densely only the submatrix left over.  On the
 certificates of the desk set and the stretch case (Thm5.5-first, A2, p=2,
 dimension 65536) nothing is left over, so no dense block is built; the
-largest stretch block would take 38 MB as int64.  The stretch case takes
-about 1.25 s, against 4.8 s with a dense rank of every block (benchmark
-medians on a 2-core Intel Xeon VM).
+largest stretch block would take 38 MB as int64.
 
 Every map is a product of factors, listed by `_factors` as pairs
 (truncation depth, power of Fr'): a two-factor map sends x (x) y to
 x * Fr'^r(y), an iterated one x_0 (x) ... (x) x_{r-1} to
-Fr'^0(x_0) * ... * Fr'^{r-1}(x_{r-1}).  Columns are built in batches.
-Basis elements f^(a) mu(lam) e^(b) that share their monomial key (a, b)
-differ only in their torus table, and the product is linear in each
-table, so `_build_columns` stacks the images of one key group of a
-factor along a batch axis, (1, R), and folds the factors left to right:
-the products so far, reshaped to batch (L, 1), times each stack give all
-L * R columns of the pair in one `Engine.multiply`, column [s, t] being
-slice [s, t] of every table of the product.  A group of one gets a batch
-axis too.  On the raising and lowering spaces every torus part is
-constant, so every table there holds one entry per column.  Each
-factor's images are checked against the target as they are made, so a
-map that leaves its target is refused before any column product.
-`_TargetIndex.split` then gathers the nonzero term tables of every
-column of every product into flat arrays and cuts them into weight
-blocks in one sorted pass.  Each block keeps one sparse form, its
-entries nonzero modulo p, from `peel` to the witness: `_dense` writes
-the submatrix left over after peeling, and the whole block for a kernel
+Fr'^0(x_0) * ... * Fr'^{r-1}(x_{r-1}).  `_build_columns` checks each
+factor's images against the target, so a map that leaves its target is
+refused before any column product, and folds the factors left to right.
+With torus tables (hsize > 1) it folds in batches: basis elements
+f^(a) mu(lam) e^(b) that share their monomial key (a, b) differ only in
+their torus table, so one `Engine.multiply` of the products so far, as
+batch (L, 1), with the stacked images of a key group, as (1, R), gives
+all L * R columns of the pair.  The raising and lowering spaces (hsize 1)
+have one element per key and only constant tables, so there each image
+is read as its constant coefficients c_d and the columns are folded as
+dicts of scalars, sum c * c_d * `Engine.mul_signed`(m, d).  Both end in
+one column format, runs: a monomial key, the columns it meets and one
+row of table entries per column.  `_TargetIndex.split` cuts the runs into
+weight blocks in one sorted pass.  Each block keeps one sparse form, its
+entries nonzero modulo p, from `peel` to the witness: `_dense` writes the
+submatrix left over after peeling, and the whole block for a kernel
 witness.  Source labels are kept per factor; a label is joined only for
 each column of a witness.
 
 No index of the target's rows is built in advance: `split` takes each
-block's rows from the products, in sorted key order, the order of the
+block's rows from the runs, in sorted key order, the order of the
 target basis.  The target is a dimension and a membership test, read from
 `_SPACES`, the table of spaces that also drives `enumerate_basis`.
 """
@@ -249,7 +246,7 @@ class _TargetIndex:
     """The target space: its dimension and the monomial keys it holds.
 
     No row is enumerated in advance.  `split` takes the rows of each weight
-    block from the products: the keys of that weight that carry a nonzero
+    block from the column runs: the keys of that weight that carry a nonzero
     entry, in sorted key order, each key a run of hsize rows.  That is the
     order of the target basis, so a bijective map, which touches every
     row, gets each block on the full target basis.  Any other map loses
@@ -277,38 +274,22 @@ class _TargetIndex:
         exps = np.array(keys, dtype=np.intp).reshape(len(keys), 2, self.engine.nu)
         return ((exps < self.size) & self.sides | (exps == 0)).all(axis=(1, 2))
 
-    def split(self, parts: List) -> Dict[Tuple[int, ...], Tuple]:
-        """Cut `_build_columns` products into weight blocks, emptying the
-        list parts as it goes, so that each product is freed once cut.
+    def split(self, runs: Tuple[List, List, List], n_cols: int) -> Dict[Tuple[int, ...], Tuple]:
+        """Cut the column runs of `_build_columns` into weight blocks,
+        emptying their lists once gathered, so that their tables are freed.
 
-        Returns weight -> (cols, n_rows, rows, places, residues), the
-        block's sparse form: cols are its column numbers in increasing
-        order, n_rows is hsize times the number of keys it meets, and
-        each entry that is nonzero modulo p sits in row rows[i] (offset *
-        hsize + j, for table entry j of the block's offset-th key in
-        sorted order), column cols[places[i]], with value residues[i].  A
-        column whose terms have more than one weight raises ValueError, a
-        term outside the target RuntimeError, and a zero column goes to
-        the zero weight.
+        n_cols is the number of columns, numbered from 0.  Returns weight
+        -> (cols, n_rows, rows, places, residues), the block's sparse form:
+        cols are its column numbers in increasing order, n_rows is hsize
+        times the number of keys it meets, and each entry that is nonzero
+        modulo p sits in row rows[i] (offset * hsize + j, for table entry j
+        of the block's offset-th key in sorted order), column
+        cols[places[i]], with value residues[i].  A column whose terms have
+        more than one weight raises ValueError, a term outside the target
+        RuntimeError, and a column no entry meets goes to the zero weight.
         """
         hsize, p = self.hsize, self.engine.p
-        seen, run_keys, col_runs, tables = [], [], [], []
-        while parts:
-            cols, prod = parts.pop()
-            cols = np.ravel(cols)
-            seen.append(cols)
-            if not prod.terms:
-                continue
-            for key in prod.terms:
-                run_keys.append(key)
-                col_runs.append(cols)
-            # Pure-sign spaces read each (constant) table at weight 0; a
-            # constant table elsewhere stands for hsize equal entries.  The
-            # copy keeps only what is read and lets the product go.
-            flat = [h.arr.reshape(cols.size, -1)[:, :hsize] for h in prod.terms.values()]
-            tables.append(np.concatenate([
-                t if t.shape[1] == hsize else np.broadcast_to(t, (cols.size, hsize)) for t in flat
-            ]))
+        run_keys, col_runs, tables = runs
         # Keys are numbered in sorted order, the order of the target basis.
         keys = sorted(set(run_keys))
         number = {k: i for i, k in enumerate(keys)}
@@ -324,7 +305,8 @@ class _TargetIndex:
         key_at = np.repeat(np.array([number[k] for k in run_keys], dtype=np.intp), sizes)
         col = np.concatenate([np.zeros(0, dtype=np.intp)] + col_runs)
         values = np.concatenate([np.zeros((0, hsize), dtype=np.int16)] + tables)
-        del run_keys, col_runs, tables
+        for run in runs:
+            run.clear()
         # Nonzero entries, ordered by weight, then column.
         live = np.flatnonzero(values.any(axis=1))
         keep = live[np.lexsort((col[live], key_weight[key_at[live]]))]
@@ -346,7 +328,7 @@ class _TargetIndex:
         spans = {names[weight_at[a]]: slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])}
         # Zero columns join the zero weight block.
         zero = (0,) * self.engine.rs.rank
-        empty = np.setdiff1d(np.concatenate(seen), taken)
+        empty = np.setdiff1d(np.arange(n_cols), taken)
         if empty.size:
             spans.setdefault(zero, slice(0, 0))
         out: Dict[Tuple[int, ...], Tuple] = {}
@@ -413,46 +395,108 @@ def _image(fro: Frobenius, x: PBWElement, power: Optional[int]) -> PBWElement:
 
 
 def _build_columns(spec: MapSpec, engine: Engine, fro: Frobenius, level: int):
-    """The map's columns, as (names, parts).
+    """The map's columns, as (names, runs).
 
     names holds each factor's basis labels: column c is the source tuple
     `np.unravel_index(c, [len(n) for n in names])`, the first factor
-    most significant.  Each part is (cols, product), cols a 2-D array:
-    column cols[s, t] is slice [s, t] of every torus table of the
-    product, which carries cols.shape as leading batch axes.  A term of a
-    factor's images outside the target raises RuntimeError before any
-    product is made.
+    most significant.  runs, the column format `split` reads, is (keys,
+    cols, values): run i puts key keys[i] in the increasing columns
+    cols[i], and the arrays of values, concatenated, hold one row of the
+    target's hsize table entries per column of each run, in run order.  A
+    term of a factor's images outside the target raises RuntimeError
+    before any product is made.
     """
     space = _STATEMENT_SPACE[spec.statement]
-    holds = _TargetIndex(engine, space, level).holds
+    target = _TargetIndex(engine, space, level)
     names, factors = [], []
     for depth, power in _factors(spec):
         basis = enumerate_basis(engine, space, depth, level)
         images = [_image(fro, x, power) for _, x in basis]
         keys = [key for y in images for key in y.terms]
-        outside = np.flatnonzero(~holds(keys))
+        outside = np.flatnonzero(~target.holds(keys))
         if outside.size:
             key = keys[outside[0]]
             raise RuntimeError(
                 f"term {key} falls outside its weight block {engine.term_weight(key)}"
             )
         names.append([lab if power is None else f"Fr'^{power}({lab})" for lab, _ in basis])
-        factors.append((len(basis), [
-            (group, _stack(engine, [images[j] for j in group], (1, len(group))))
-            for group in _basis_groups(basis)
-        ]))
-    # Fold the factors into column products, from the first factor's
-    # stacks: the products so far, as batch (L, 1), times each key group of
-    # the next factor's images, as (1, R).
-    parts = [(np.array([group]), ys) for group, ys in factors[0][1]]
-    for size, stacks in factors[1:]:
+        factors.append((basis, images))
+    if target.hsize == 1:
+        sign = {"e": 1, "f": -1}[_SPACES[space]]
+        return names, _scalar_runs(engine, factors, sign)
+    return names, _table_runs(engine, factors, target.hsize)
+
+
+def _table_runs(engine: Engine, factors: List, hsize: int) -> Tuple[List, List, List]:
+    """The column runs of a map with torus tables, from batched products:
+    the products so far, as batch (L, 1), times the stacked images of each
+    key group of the next factor, as (1, R)."""
+    stacks = [
+        (len(basis), [(group, _stack(engine, [images[j] for j in group], (1, len(group))))
+                      for group in _basis_groups(basis)])
+        for basis, images in factors
+    ]
+    parts = [(np.array([group]), ys) for group, ys in stacks[0][1]]
+    for size, groups in stacks[1:]:
         folded = []
         for cols, prod in parts:
             xs = _stack(engine, [prod], (cols.size, 1))
             folded += [(np.add.outer(cols.ravel() * size, group), engine.multiply(xs, ys))
-                       for group, ys in stacks]
+                       for group, ys in groups]
         parts = folded
-    return names, parts
+    return _product_runs(parts, hsize)
+
+
+def _product_runs(parts: List, hsize: int) -> Tuple[List, List, List]:
+    """The column runs of (cols, product) parts, column cols[s, t] being
+    slice [s, t] of every table, a constant table standing for hsize equal
+    entries.  Empties the list parts, each product let go once copied."""
+    keys, col_runs, tables = [], [], []
+    while parts:
+        cols, prod = parts.pop()
+        if not prod.terms:
+            continue
+        cols = np.ravel(cols)
+        n = cols.size
+        keys += prod.terms
+        col_runs += [cols] * len(prod.terms)
+        rows = np.empty((len(prod.terms) * n, hsize), dtype=np.int16)
+        for i, h in enumerate(prod.terms.values()):
+            rows[i * n : (i + 1) * n] = h.arr.reshape(n, -1)
+        tables.append(rows)
+    return keys, col_runs, tables
+
+
+def _scalar_runs(engine: Engine, factors: List, sign: int) -> Tuple[List, List, List]:
+    """The column runs of a one-sign map, whose tables are all constant:
+    each image is read as its constant coefficients c_d, and a column c *
+    e^(m) + ... times an image is the sum of c * c_d * mul_signed(m, d)
+    (f^(m) for sign -1)."""
+    p, side = engine.p, (1 if sign > 0 else 0)
+    zero = (0,) * engine.nu
+    mul = engine.mul_signed
+
+    def times(x: Dict, y: Dict) -> Dict:
+        out: Dict = {}
+        for m, c in x.items():
+            for d, cd in y.items():
+                for v, s in mul(m, d, sign).items():
+                    out[v] = (out.get(v, 0) + c * cd * s) % p
+        return out
+
+    images = [[{key[side]: int(h.arr.item()) for key, h in y.terms.items()} for y in ys]
+              for _, ys in factors]
+    columns = images[0]
+    for ys in images[1:]:
+        columns = [times(x, y) for x in columns for y in ys]
+    runs: Dict = {}
+    for c, column in enumerate(columns):
+        for m, v in column.items():
+            runs.setdefault(m, []).append((c, v))
+    keys = [(zero, m) if sign > 0 else (m, zero) for m in runs]
+    col_runs = [np.array([c for c, _ in run], dtype=np.intp) for run in runs.values()]
+    values = np.array([v for run in runs.values() for _, v in run], dtype=np.int16)
+    return keys, col_runs, [values.reshape(-1, 1)]
 
 
 def _check_multiplicative(
@@ -503,14 +547,14 @@ def verify(
     if target.dim > column_cap:
         raise ValueError(f"{target.dim} columns exceed the cap {column_cap}")
     fro = Frobenius(engine)
-    names, parts = _build_columns(spec, engine, fro, depth)
+    names, runs = _build_columns(spec, engine, fro, depth)
     sizes = [len(n) for n in names]
     source_dim = math.prod(sizes)
     if source_dim != target.dim:
         raise RuntimeError(
             f"source dimension {source_dim} differs from target {target.dim}"
         )
-    pieces = target.split(parts)
+    pieces = target.split(runs, source_dim)
     total_rank = 0
     blocks = []
     witness = None

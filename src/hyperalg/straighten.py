@@ -697,18 +697,22 @@ class Engine:
         """
         key = (word, sign)
         cached = self._signed_cache.get(key)
-        if cached is not None:
-            return cached
+        if cached is None:
+            cached = self._signed_cache[key] = self._one_sign(word, sign)
+        return cached
+
+    def _one_sign(
+        self, word: Tuple[Tuple[int, int], ...], sign: int
+    ) -> Dict[Tuple[int, ...], int]:
+        """`straighten_signed` without its memo."""
         if sign > 0:
             word = tuple((self.nu + k, n) for k, n in word)
         # One-sign words create no torus part, so every table is constant.
         zero = (0,) * self.rs.rank
-        out = {
+        return {
             (b if sign > 0 else a): h.value(zero)
             for (a, b), h in self.straighten_items(word, 1).items()
         }
-        self._signed_cache[key] = out
-        return out
 
     def mul_signed(
         self, x: Tuple[int, ...], y: Tuple[int, ...], sign: int
@@ -716,9 +720,9 @@ class Engine:
         """Product of two normal-ordered one-sign monomials.
 
         Folds x into y one divided power at a time: with k the first
-        nonzero slot of x and x' the rest of x, x * y = g_k^(x_k) * (x' * y),
-        so every suffix product x' * y is memoized once and each
-        straightening is one divided power times one normal monomial.
+        nonzero slot of x and x' the rest of x, x * y = g_k^(x_k) * (x' * y).
+        Every suffix product x' * y, and every step g_k^(x_k) * m, one
+        divided power times a normal monomial, is memoized here once.
         """
         if not any(x):
             return {y: 1}
@@ -728,19 +732,22 @@ class Engine:
             by_y = self._mul_signed_cache[(x, sign)] = {}
         out = by_y.get(y)
         if out is None:
-            p = self.p
             k = next(k for k, n in enumerate(x) if n)
-            head = ((k, x[k]),)
-            rest = (0,) * (k + 1) + x[k + 1 :]
-            out = {}
-            for m, c in self.mul_signed(rest, y, sign).items():
-                word = head + tuple((j, n) for j, n in enumerate(m) if n)
-                for v, s in self.straighten_signed(word, sign).items():
-                    total = (out.get(v, 0) + c * s) % p
-                    if total:
-                        out[v] = total
-                    else:
-                        del out[v]
+            if not any(x[k + 1 :]):
+                word = ((k, x[k]),) + tuple((j, n) for j, n in enumerate(y) if n)
+                out = self._one_sign(word, sign)
+            else:
+                p = self.p
+                head = x[: k + 1] + (0,) * (len(x) - k - 1)
+                rest = (0,) * (k + 1) + x[k + 1 :]
+                out = {}
+                for m, c in self.mul_signed(rest, y, sign).items():
+                    for v, s in self.mul_signed(head, m, sign).items():
+                        total = (out.get(v, 0) + c * s) % p
+                        if total:
+                            out[v] = total
+                        else:
+                            del out[v]
             by_y[y] = out
         return out
 

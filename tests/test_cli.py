@@ -101,6 +101,16 @@ def test_verify_subcommand_pass(capsys):
     assert payload["reports"][0]["bijective"] is True
 
 
+def _error(captured):
+    """The message of the one JSON error line on stderr."""
+    assert captured.out == ""
+    line, rest = captured.err.split("\n", 1)
+    assert rest == ""
+    payload = json.loads(line)
+    assert list(payload) == ["error"] and isinstance(payload["error"], str)
+    return payload["error"]
+
+
 def test_verify_requires_arguments(capsys):
     with pytest.raises(SystemExit):
         main(["verify"])
@@ -111,8 +121,7 @@ def test_verify_rejects_non_prime(capsys, p):
     code = main(["verify", "--statement", "Thm4.5-first", "--type", "A2", "--p", p])
     captured = capsys.readouterr()
     assert code == 1
-    assert captured.out == ""
-    assert captured.err == f"error: p={p} is not a prime\n"
+    assert _error(captured) == f"p={p} is not a prime"
 
 
 def test_verify_rejects_n_on_iterated_statement(capsys):
@@ -120,9 +129,7 @@ def test_verify_rejects_n_on_iterated_statement(capsys):
                  "--p", "2", "--r", "2", "--n", "3"])
     captured = capsys.readouterr()
     assert code == 1
-    assert captured.out == ""
-    assert captured.err == (
-        "error: Prop5.1-second multiplies depth-1 factors only; n=3 must be 1\n")
+    assert _error(captured) == "Prop5.1-second multiplies depth-1 factors only; n=3 must be 1"
 
 
 def test_parse_error_exit_code(capsys):
@@ -130,7 +137,7 @@ def test_parse_error_exit_code(capsys):
                  "--level", "1"])
     captured = capsys.readouterr()
     assert code == 1
-    assert captured.err.startswith("error:")
+    assert _error(captured)
 
 
 def test_verify_accepts_threads_flag(capsys):
@@ -175,8 +182,7 @@ def test_mul_rejects_unsupported_prime(capsys, p):
                  "--level", "1"])
     captured = capsys.readouterr()
     assert code == 1
-    assert captured.out == ""
-    assert captured.err.startswith("error:")
+    assert _error(captured)
 
 
 @pytest.mark.parametrize(
@@ -197,8 +203,7 @@ def test_rejects_out_of_range_level_and_depth(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     assert code == 1
-    assert captured.out == ""
-    assert captured.err.startswith("error:")
+    assert _error(captured)
 
 
 def test_depth_zero_is_the_identity(capsys):

@@ -18,6 +18,7 @@ from hyperalg.isocheck import (
     _build_columns,
     _dense,
     _kernel_vector,
+    _product_runs,
     _TargetIndex,
     enumerate_basis,
     rank_fp,
@@ -194,6 +195,16 @@ def test_sabotage_reaches_every_system(system):
 
     assert not product(sabotaged_engine(system, 3)).equals(product(Engine(rs, 3)))
 
+    # The raising-algebra columns are folded from mul_signed, which must
+    # change too.
+    def unit(root):
+        return tuple(int(k == rs.convex_index(root)) for k in range(rs.num_positive))
+
+    def signed(eng):
+        return eng.mul_signed(unit((0, 1)), unit((1, 0)), +1)
+
+    assert signed(sabotaged_engine(system, 3)) != signed(Engine(rs, 3))
+
 
 def test_report_block_weights_are_lists_of_ints():
     rep = verify(MapSpec("Thm5.5-first", "A1", 2, 1, 1))
@@ -247,22 +258,25 @@ def _source_factors(spec):
     return factors, max(d + (k or 0) for d, k in factors)
 
 
-def _split_columns(n_cols, parts):
+def _split_columns(n_cols, runs, hsize):
     """Every column of a `_build_columns` result as its own element:
-    {key: table}, keeping only the keys whose table is nonzero."""
-    cols = [None] * n_cols
-    for idx, prod in parts:
-        flat = np.ravel(idx)
-        for s, col in enumerate(flat):
-            terms = {}
-            for key, h in prod.terms.items():
-                side = h.arr.shape[np.ndim(idx):]
-                table = h.arr.reshape((flat.size,) + side)[s]
-                if table.any():
-                    terms[key] = table
-            assert cols[col] is None, f"column {col} built twice"
-            cols[col] = terms
-    assert all(c is not None for c in cols)
+    {key: row of hsize table entries}, keeping only the keys whose row is
+    nonzero."""
+    keys, col_runs, tables = runs
+    values = np.concatenate(tables)
+    assert values.dtype == np.int16 and values.shape == (len(values), hsize)
+    assert len(keys) == len(col_runs)
+    cols = [{} for _ in range(n_cols)]
+    at = 0
+    for key, run in zip(keys, col_runs):
+        # a run's columns increase and lie among the map's columns
+        assert run.size and (np.diff(run) > 0).all() and 0 <= run[0] and run[-1] < n_cols
+        for col, row in zip(run.tolist(), values[at : at + run.size]):
+            assert key not in cols[col], f"column {col} meets {key} twice"
+            if row.any():
+                cols[col][key] = row
+        at += run.size
+    assert at == len(values)
     return cols
 
 
@@ -271,11 +285,14 @@ def _assert_batched_matches_per_column(spec, engine, sample=None):
     # column k, the first factor most significant.
     factors, level = _source_factors(spec)
     fro = Frobenius(engine)
-    factor_labels, parts = _build_columns(spec, engine, fro, level)
+    factor_labels, runs = _build_columns(spec, engine, fro, level)
     # the source labels, joined from the per-factor lists in column order
     labels = [" * ".join(combo) for combo in itertools.product(*factor_labels)]
-    batched = _split_columns(len(labels), parts)
     space = isocheck._STATEMENT_SPACE[spec.statement]
+    hsize = _TargetIndex(engine, space, level).hsize
+    batched = _split_columns(len(labels), runs, hsize)
+    # a row holds a full table, or the weight-0 entry of a constant one
+    side = (spec.p**level if hsize > 1 else 1,) * engine.rs.rank
     bases = [enumerate_basis(engine, space, d, level) for d, _ in factors]
     sizes = [len(b) for b in bases]
     assert [len(n) for n in factor_labels] == sizes
@@ -296,8 +313,8 @@ def _assert_batched_matches_per_column(spec, engine, sample=None):
         assert set(got) == set(want.terms), (spec, k)
         for key, h in want.terms.items():
             assert got[key].dtype == h.arr.dtype
-            assert np.array_equal(got[key], h.arr), (spec, k, key)
-    return labels, parts
+            assert np.array_equal(got[key], np.broadcast_to(h.arr, side).ravel()), (spec, k, key)
+    return labels, runs
 
 
 def _column_count(spec):
@@ -333,12 +350,7 @@ _SMALL_CASES = [
 def test_batched_columns_match_per_column(statement, system, p, r):
     spec = MapSpec(statement, system, p, r, 1)
     engine = Engine(build_root_system(system), p)
-    _, parts = _assert_batched_matches_per_column(spec, engine)
-    # every part is batched, a key group of one included: its column numbers
-    # form a 2-D array, the leading batch axes of every table of its product
-    for idx, prod in parts:
-        assert np.ndim(idx) == 2
-        assert all(h.arr.shape[:2] == idx.shape for h in prod.terms.values())
+    _assert_batched_matches_per_column(spec, engine)
 
 
 @pytest.mark.parametrize("spec", [
@@ -352,6 +364,15 @@ def test_batched_columns_match_per_column(statement, system, p, r):
 def test_batched_columns_match_per_column_sampled(spec):
     engine = Engine(build_root_system(spec.system), spec.p)
     _assert_batched_matches_per_column(spec, engine, sample=150)
+
+
+@pytest.mark.parametrize("system,sample", [("B2", None), ("G2", 150)])
+def test_plus_columns_match_per_column_on_b2_g2(system, sample):
+    # The raising-algebra maps on the 8- and 12-root systems: B2 in full
+    # (256 columns), G2 sampled (4096).
+    spec = MapSpec("Thm4.5-first", system, 2, 1, 1)
+    engine = Engine(build_root_system(system), 2)
+    _assert_batched_matches_per_column(spec, engine, sample=sample)
 
 
 def test_batched_columns_on_sabotaged_engine():
@@ -372,6 +393,12 @@ def _whole(piece):
     return _dense(piece, np.arange(piece[1]), np.arange(len(piece[0])))
 
 
+def _split(target, parts, n_cols):
+    """`split` of n_cols columns given as (cols, product) parts, through
+    the runs the table path makes of its products."""
+    return target.split(_product_runs(parts, target.hsize), n_cols)
+
+
 def test_zero_slice_lands_in_zero_weight_block():
     eng = Engine(build_root_system("A1"), 2)
     level = 2
@@ -382,15 +409,15 @@ def test_zero_slice_lands_in_zero_weight_block():
     zero = np.zeros((4,), dtype=np.int16)
     first = np.array([1, 0, 1, 0], dtype=np.int16)
     prod = _batched_part(eng, level, {key: [first, zero, ones]})
-    pieces = target.split([(np.array([[7, 2, 5]]), prod)])
+    pieces = _split(target, [(np.array([[2, 0, 1]]), prod)], 3)
     assert set(pieces) == {w, (0,)}
     cols, n_rows, rows, places, residues = pieces[w]
-    assert list(cols) == [5, 7] and sorted(set(places.tolist())) == [0, 1]
+    assert list(cols) == [1, 2] and sorted(set(places.tolist())) == [0, 1]
     # the block's only key is its only run of hsize rows
     assert n_rows == target.hsize and rows.max() < target.hsize
     assert (residues == 1).all() and len(residues) == 6
     cols0, n_rows0, rows0, places0, residues0 = pieces[(0,)]
-    assert list(cols0) == [2] and n_rows0 == 0
+    assert list(cols0) == [0] and n_rows0 == 0
     assert rows0.size == places0.size == residues0.size == 0
     assert _whole(pieces[(0,)]).shape == (0, 1)
     mat = _whole(pieces[w])
@@ -398,8 +425,8 @@ def test_zero_slice_lands_in_zero_weight_block():
     assert np.array_equal(mat, np.stack([ones, first], axis=1))
     assert mat.sum() == 6
     # a plain zero product also goes to the zero weight
-    pieces = target.split([(3, eng.zero(level))])
-    assert list(pieces) == [(0,)] and list(pieces[(0,)][0]) == [3]
+    pieces = _split(target, [(0, eng.zero(level))], 1)
+    assert list(pieces) == [(0,)] and list(pieces[(0,)][0]) == [0]
 
 
 def test_split_refuses_mixed_weights_per_slice():
@@ -411,21 +438,18 @@ def test_split_refuses_mixed_weights_per_slice():
     e1, f1 = ((0,), (1,)), ((1,), (0,))
     # two weights in different slices: fine, one piece each
     prod = _batched_part(eng, level, {e1: [ones, zero], f1: [zero, ones]})
-    pieces = target.split([(np.array([[0, 1]]), prod)])
+    pieces = _split(target, [(np.array([[0, 1]]), prod)], 2)
     assert {w: list(piece[0]) for w, piece in pieces.items()} == {
         eng.term_weight(e1): [0], eng.term_weight(f1): [1]}
     # two weights in one slice: the column is not homogeneous
     prod = _batched_part(eng, level, {e1: [ones, zero], f1: [ones, zero]})
     with pytest.raises(ValueError, match="weight-homogeneous"):
-        target.split([(np.array([[0, 1]]), prod)])
+        _split(target, [(np.array([[0, 1]]), prod)], 2)
 
 
-def test_term_outside_target_refused_before_column_products(monkeypatch):
-    # With Fr' one step too deep, Fr'^2 of e[0 1]^(1) is e[0 1]^(9), past
-    # the depth-2 truncation.  Column products multiply batched tables, the
-    # splitting only plain ones: none may be made before the refusal.
-    fr_prime = Frobenius.fr_prime
-    monkeypatch.setattr(Frobenius, "fr_prime", lambda self, x, r: fr_prime(self, x, r + 1))
+def _plain_products_only(monkeypatch):
+    """Make Engine.multiply fail on tables with batch axes, which only
+    column products of the table path have."""
     multiply = Engine.multiply
 
     def plain_only(self, x, y):
@@ -435,6 +459,22 @@ def test_term_outside_target_refused_before_column_products(monkeypatch):
         return multiply(self, x, y)
 
     monkeypatch.setattr(Engine, "multiply", plain_only)
+
+
+def test_term_outside_target_refused_before_column_products(monkeypatch):
+    # With Fr' one step too deep, Fr'^2 of e[0 1]^(1) is e[0 1]^(9), past
+    # the depth-2 truncation.  Column products multiply batched tables, the
+    # splitting only plain ones: none may be made before the refusal.  The
+    # raising algebra's columns are folded as scalars, which must not start
+    # either.
+    fr_prime = Frobenius.fr_prime
+    monkeypatch.setattr(Frobenius, "fr_prime", lambda self, x, r: fr_prime(self, x, r + 1))
+    _plain_products_only(monkeypatch)
+
+    def no_fold(*args):
+        raise AssertionError("scalar column fold started")
+
+    monkeypatch.setattr(isocheck, "_scalar_runs", no_fold)
     with pytest.raises(RuntimeError, match=re.escape(
             "term ((0, 0, 0), (0, 0, 9)) falls outside its weight block (-9, 18)")):
         verify(MapSpec("Thm4.5-first", "A2", 3, 1, 1))
@@ -447,12 +487,13 @@ def test_split_refuses_term_outside_target():
     key = ((0,), (2,))  # e^(2) lies outside the depth-1 truncation
     prod = eng.monomial(*key, None, level)
     with pytest.raises(RuntimeError, match="outside its weight block"):
-        target.split([(0, prod)])
-    # a zero slice of such a term is left out, not refused
-    zero = np.zeros((2,), dtype=np.int16)
-    ones = np.ones((2,), dtype=np.int16)
+        _split(target, [(0, prod)], 1)
+    # a zero slice of such a term is left out, not refused; the raising
+    # algebra's tables are constant, one entry each
+    zero = np.zeros((1,), dtype=np.int16)
+    ones = np.ones((1,), dtype=np.int16)
     prod = _batched_part(eng, level, {key: [zero, zero], ((0,), (1,)): [ones, zero]})
-    pieces = target.split([(np.array([[0, 1]]), prod)])
+    pieces = _split(target, [(np.array([[0, 1]]), prod)], 2)
     assert {w: list(piece[0]) for w, piece in pieces.items()} == {
         eng.term_weight(((0,), (1,))): [0], (0,): [1]}
 
@@ -472,10 +513,10 @@ def test_blocks_match_per_column_coordinates(spec):
     fro = Frobenius(engine)
     space = isocheck._STATEMENT_SPACE[spec.statement]
     target = _TargetIndex(engine, space, level)
-    _, parts = _build_columns(spec, engine, fro, level)
-    pieces = target.split(parts)
+    _, runs = _build_columns(spec, engine, fro, level)
     left = enumerate_basis(engine, space, spec.r, level)
     right = enumerate_basis(engine, space, spec.n, level)
+    pieces = target.split(runs, len(left) * len(right))
     target_keys = _basis_keys(engine, space, level)
     columns = {}
     for k in range(len(left) * len(right)):
@@ -548,10 +589,10 @@ def test_blocks_missing_target_keys_keep_rank_and_kernel(monkeypatch, spec):
     level = spec.r + spec.n
     space = isocheck._STATEMENT_SPACE[spec.statement]
     target = _TargetIndex(engine, space, level)
-    _, parts = _build_columns(spec, engine, Frobenius(engine), level)
-    pieces = target.split(parts)
+    _, runs = _build_columns(spec, engine, Frobenius(engine), level)
     left = enumerate_basis(engine, space, spec.r, level)
     right = enumerate_basis(engine, space, spec.n, level)
+    pieces = target.split(runs, len(left) * len(right))
     target_keys = _basis_keys(engine, space, level)
     short = 0
     for w, piece in pieces.items():
@@ -632,8 +673,8 @@ def test_entries_skip_multiples_of_p(p):
     values[0, :2] = [1, p]
     values[1, 1:3] = [p - 1, 2 * p]
     prod = _batched_part(eng, level, {key: list(values)})
-    (piece,) = target.split([(np.array([[3, 8]]), prod)]).values()
-    assert list(piece[0]) == [3, 8] and piece[1] == target.hsize
+    (piece,) = _split(target, [(np.array([[0, 1]]), prod)], 2).values()
+    assert list(piece[0]) == [0, 1] and piece[1] == target.hsize
     rows, cols, residues = piece[2:]
     assert sorted(zip(rows.tolist(), cols.tolist(), residues.tolist())) == [
         (0, 0, 1), (1, 1, p - 1)]
@@ -684,18 +725,22 @@ def test_verify_refuses_an_engine_off_its_spec(system, p):
         verify(spec, engine=Engine(build_root_system(system), p))
 
 
-def test_plus_columns_keep_constant_tables():
-    # Every torus part of the raising algebra is constant, so no column
-    # product of a plus statement builds a full table; the idempotents of
-    # the other spaces are full tables.
-    spec = MapSpec("Thm4.5-first", "A2", 3, 1, 1)
+@pytest.mark.parametrize("spec", [
+    MapSpec("Thm4.5-first", "A2", 3, 1, 1),
+    MapSpec("Thm4.5-second", "A2", 2, 2),
+])
+def test_plus_columns_make_no_batched_products(monkeypatch, spec):
+    # Every torus part of the raising algebra is constant, so its columns
+    # are folded as scalars: Fr' multiplies plain tables, and no column
+    # product multiplies batched ones.  The idempotents of the other
+    # spaces are full tables.
+    _plain_products_only(monkeypatch)
     engine = Engine(build_root_system(spec.system), spec.p)
-    level = spec.r + spec.n
-    _, parts = _build_columns(spec, engine, Frobenius(engine), level)
-    assert parts
-    for cols, prod in parts:
-        for h in prod.terms.values():
-            assert h.arr.shape == cols.shape + (1, 1), h.arr.shape
+    level = _source_factors(spec)[1]
+    names, (_, col_runs, tables) = _build_columns(spec, engine, Frobenius(engine), level)
+    # one entry per key and column, every column met
+    assert all(v.shape[1] == 1 for v in tables)
+    assert np.unique(np.concatenate(col_runs)).size == np.prod([len(n) for n in names])
     size = spec.p**level
     assert mu_hpart(engine, (1, 2), 1, level).arr.shape == (size, size)
 
@@ -711,16 +756,16 @@ def test_split_broadcasts_constant_tables_on_the_zero_space():
     const = eng.hpart_one(level).scale(2)
     full = HPart(np.broadcast_to(const.arr, (3, 3)).copy(), eng.p, level)
     for h in (const, full):
-        pieces = target.split([(np.array([[4]]), eng.hpart_element(h, level))])
+        pieces = _split(target, [(np.array([[0]]), eng.hpart_element(h, level))], 1)
         cols, n_rows, rows, places, residues = pieces[(0, 0)]
-        assert list(cols) == [4] and n_rows == 9
+        assert list(cols) == [0] and n_rows == 9
         assert list(rows) == list(range(9)) and not places.any()
         assert np.array_equal(residues, np.full(9, 2))
         assert np.array_equal(_whole(pieces[(0, 0)]), np.full((9, 1), 2))
     # batched: each column's constant fills its own rows
     stacked = PBWElement(eng, level, {key: HPart(
         np.array([1, 0, 2], dtype=np.int16).reshape(1, 3, 1, 1), eng.p, level)})
-    pieces = target.split([(np.array([[0, 1, 2]]), stacked)])
+    pieces = _split(target, [(np.array([[0, 1, 2]]), stacked)], 3)
     cols, n_rows, rows, places, residues = pieces[(0, 0)]
     assert list(cols) == [0, 1, 2] and sorted(set(places.tolist())) == [0, 2]
     assert np.array_equal(_whole(pieces[(0, 0)]), np.repeat([[1, 0, 2]], 9, axis=0))
