@@ -10,6 +10,9 @@ divided power of a non-simple root requires rewriting it as a
 combination of words in simple divided powers first; the rewriting table
 is built lazily per weight block by one F_p row reduction
 (`linalg.row_reduce`) of the block's word matrix next to an identity.
+The one-sign images are exponent vector -> scalar dicts multiplied by
+`Engine.mul_signed_sum`, so Fr'(f^(a) H e^(b)) is a sum of monomials
+f^(c) H' e^(d) already in normal form, which `fr_prime` writes directly.
 """
 
 from __future__ import annotations
@@ -19,9 +22,8 @@ import numpy as np
 from typing import Dict, List, Tuple
 
 from .linalg import row_reduce
-from .rootdata import Root
 from .straighten import (
-    Engine, HPart, InsufficientLevelError, PBWElement, exps_of_weight, exps_sum
+    Engine, HPart, InsufficientLevelError, PBWElement, _accumulate, exps_of_weight, exps_sum
 )
 
 # A word is a product of simple-root divided powers, stored as a tuple of
@@ -116,21 +118,19 @@ class Frobenius:
 
     def fr(self, x: PBWElement) -> PBWElement:
         """Divide all exponents by p; kill terms with a non-divisible one."""
-        engine = self.engine
-        p = engine.p
-        out = engine.zero(x.level)
+        p = self.engine.p
+        out: Dict = {}
         for (a, b), h in x.terms.items():
             if any(v % p for v in a) or any(v % p for v in b):
                 continue
             # A side-1 (constant) table is fixed: its index is [0].
             size = h.arr.shape[-1]
             idx = (p * np.arange(size)) % size
-            h2 = HPart(h.arr[np.ix_(*([idx] * engine.rs.rank))], p, x.level)
-            term = engine.monomial(
-                tuple(v // p for v in a), tuple(v // p for v in b), h2, x.level
-            )
-            out = out.add(term)
-        return out
+            h2 = HPart(h.arr[np.ix_(*([idx] * self.engine.rs.rank))], p, x.level)
+            if not h2.is_zero():
+                key = (tuple(v // p for v in a), tuple(v // p for v in b))
+                _accumulate(out, key, h2)
+        return PBWElement(self.engine, x.level, out)
 
     def fr_power(self, x: PBWElement, r: int) -> PBWElement:
         if r < 0:
@@ -141,48 +141,39 @@ class Frobenius:
 
     # -- the splitting ---------------------------------------------------
 
-    def _split_root_power(self, root: Root, n: int, r: int, level: int) -> PBWElement:
-        """Image of one divided power under the one-sign splitting."""
-        engine = self.engine
-        rs = engine.rs
-        key = (root, n, r, level)
+    def _split_root_power(self, k: int, n: int, sign: int, r: int) -> Dict:
+        """Image of g_k^(n), g_k the k-th convex root of the given sign,
+        under the one-sign splitting, as exponent vector -> scalar."""
+        key = (k, n, sign, r)
         cached = self._split_cache.get(key)
         if cached is not None:
             return cached
-        positive = rs._is_positive(root)
-        sign = 1 if positive else -1
-        base = root if positive else tuple(-x for x in root)
-        k = rs.convex_index(base)
+        engine = self.engine
+        rs = engine.rs
         q = engine.p**r
-        if sum(base) == 1:
-            result = engine.divided_power(root, n * q, level)
+        exps = tuple(n if j == k else 0 for j in range(rs.num_positive))
+        if sum(rs.convex_roots[k]) == 1:
+            result = {tuple(v * q for v in exps): 1}
         else:
-            exps = tuple(n if j == k else 0 for j in range(rs.num_positive))
-            table = self._table_plus if positive else self._table_minus
+            table = self._table_plus if sign > 0 else self._table_minus
             simple_idx = [rs.convex_index(rs.simple(i)) for i in range(rs.rank)]
-            result = engine.zero(level)
+            zero = (0,) * rs.num_positive
+            result = {}
             for c, word in table.express(exps):
                 scaled = tuple((simple_idx[i], m * q) for i, m in word)
-                for vec, s in engine.straighten_signed(scaled, sign).items():
-                    a = vec if not positive else (0,) * rs.num_positive
-                    b = vec if positive else (0,) * rs.num_positive
-                    h = engine.hpart_one(level).scale(c * s)
-                    result = result.add(engine.monomial(a, b, h, level))
+                straight = engine.straighten_signed(scaled, sign)
+                engine.mul_signed_sum({zero: c}, straight, sign, result)
         self._split_cache[key] = result
         return result
 
-    def _split_block(
-        self, exps: Tuple[int, ...], sign: int, r: int, level: int
-    ) -> PBWElement:
+    def _split_block(self, exps: Tuple[int, ...], sign: int, r: int) -> Dict:
+        """Image of the monomial g^(exps) of the given sign, as exponent
+        vector -> scalar."""
         engine = self.engine
-        rs = engine.rs
-        out = engine.one(level)
+        out = {(0,) * engine.nu: 1}
         for k, n in enumerate(exps):
             if n:
-                root = rs.convex_roots[k]
-                if sign < 0:
-                    root = tuple(-x for x in root)
-                out = engine.multiply(out, self._split_root_power(root, n, r, level))
+                out = engine.mul_signed_sum(out, self._split_root_power(k, n, sign, r), sign)
         return out
 
     def fr_prime_plus(self, x: PBWElement, r: int = 1) -> PBWElement:
@@ -211,11 +202,12 @@ class Frobenius:
         """Splitting on the whole algebra, termwise over triangular factors."""
         if r < 0:
             raise ValueError(f"depth r={r} must be nonnegative")
-        engine = self.engine
-        out = engine.zero(x.level)
+        out: Dict = {}
         for (a, b), h in x.terms.items():
-            fpart = self._split_block(a, -1, r, x.level)
-            epart = self._split_block(b, +1, r, x.level)
-            hpart = engine.hpart_element(self.fr_prime_zero(h, r), x.level)
-            out = out.add(engine.multiply(fpart, engine.multiply(hpart, epart)))
-        return out
+            fpart = self._split_block(a, -1, r)
+            epart = self._split_block(b, +1, r)
+            h2 = self.fr_prime_zero(h, r)
+            for c, sc in fpart.items():
+                for d, sd in epart.items():
+                    _accumulate(out, (c, d), h2.scale(sc * sd))
+        return PBWElement(self.engine, x.level, out)

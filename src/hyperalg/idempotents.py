@@ -27,6 +27,8 @@ def mu_hpart(engine: Engine, lam: Weight, n: int, level: int) -> HPart:
     product over i of binom(h_i - lam_i - 1, p^n - 1)."""
     if len(lam) != engine.rs.rank:
         raise ValueError(f"weight {tuple(lam)} has {len(lam)} entries, not rank {engine.rs.rank}")
+    if n < 0:
+        raise ValueError(f"depth n={n} must be nonnegative")
     if n > level:
         raise InsufficientLevelError(
             f"idempotent at level {n} needs torus level at least {n}"

@@ -28,14 +28,14 @@ batch (L, 1), with the stacked images of a key group, as (1, R), gives
 all L * R columns of the pair.  The raising and lowering spaces (hsize 1)
 have one element per key and only constant tables, so there each image
 is read as its constant coefficients c_d and the columns are folded as
-dicts of scalars, sum c * c_d * `Engine.mul_signed`(m, d).  Both end in
-one column format, runs: a monomial key, the columns it meets and one
-row of table entries per column.  `_TargetIndex.split` cuts the runs into
-weight blocks in one sorted pass.  Each block keeps one sparse form, its
-entries nonzero modulo p, from `peel` to the witness: `_dense` writes the
-submatrix left over after peeling, and the whole block for a kernel
-witness.  Source labels are kept per factor; a label is joined only for
-each column of a witness.
+dicts of scalars by `Engine.mul_signed_sum`, sum c * c_d * mul_signed(m,
+d).  Both end in one column format, runs: a monomial key, the columns it
+meets and one row of table entries per column.  `_TargetIndex.split`
+cuts the runs into weight blocks in one sorted pass.  Each block keeps
+one sparse form, its entries nonzero modulo p, from `peel` to the
+witness: `_dense` writes the submatrix left over after peeling, and the
+whole block for a kernel witness.  Source labels are kept per factor; a
+label is joined only for each column of a witness.
 
 No index of the target's rows is built in advance: `split` takes each
 block's rows from the runs, in sorted key order, the order of the
@@ -470,25 +470,15 @@ def _product_runs(parts: List, hsize: int) -> Tuple[List, List, List]:
 def _scalar_runs(engine: Engine, factors: List, sign: int) -> Tuple[List, List, List]:
     """The column runs of a one-sign map, whose tables are all constant:
     each image is read as its constant coefficients c_d, and a column c *
-    e^(m) + ... times an image is the sum of c * c_d * mul_signed(m, d)
-    (f^(m) for sign -1)."""
-    p, side = engine.p, (1 if sign > 0 else 0)
+    e^(m) + ... times an image is `Engine.mul_signed_sum`, the sum of c *
+    c_d * mul_signed(m, d) (f^(m) for sign -1)."""
+    side = 1 if sign > 0 else 0
     zero = (0,) * engine.nu
-    mul = engine.mul_signed
-
-    def times(x: Dict, y: Dict) -> Dict:
-        out: Dict = {}
-        for m, c in x.items():
-            for d, cd in y.items():
-                for v, s in mul(m, d, sign).items():
-                    out[v] = (out.get(v, 0) + c * cd * s) % p
-        return out
-
     images = [[{key[side]: int(h.arr.item()) for key, h in y.terms.items()} for y in ys]
               for _, ys in factors]
     columns = images[0]
     for ys in images[1:]:
-        columns = [times(x, y) for x in columns for y in ys]
+        columns = [engine.mul_signed_sum(x, y, sign) for x in columns for y in ys]
     runs: Dict = {}
     for c, column in enumerate(columns):
         for m, v in column.items():

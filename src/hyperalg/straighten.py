@@ -21,8 +21,9 @@ named bracket constants, and the output monomials are the exponent
 vectors of the pair's weight over the pattern's base coordinates, which
 `exps_of_weight` enumerates as the inverse of `exps_sum`.  One-sign
 products (`mul_signed`) fold the left factor in one divided power at a
-time, so each word straightened there is one divided power times a
-normal monomial, memoized as a left action.
+time, and `straighten_signed` a whole word right to left, both through
+`mul_signed_sum`; so each one-sign word straightened is one divided power
+times a normal monomial, memoized as a left action.
 """
 
 from __future__ import annotations
@@ -693,26 +694,20 @@ class Engine:
         """Normal form of a product of divided powers of one sign.
 
         word is a tuple of (convex index, exponent); sign +1 means raising
-        block, -1 lowering.  Returns exponent-vector -> scalar mod p.
+        block, -1 lowering.  Returns exponent-vector -> scalar mod p.  The
+        word is folded right to left, one divided power at a time, through
+        `mul_signed`; every suffix is memoized.
         """
         key = (word, sign)
-        cached = self._signed_cache.get(key)
-        if cached is None:
-            cached = self._signed_cache[key] = self._one_sign(word, sign)
-        return cached
-
-    def _one_sign(
-        self, word: Tuple[Tuple[int, int], ...], sign: int
-    ) -> Dict[Tuple[int, ...], int]:
-        """`straighten_signed` without its memo."""
-        if sign > 0:
-            word = tuple((self.nu + k, n) for k, n in word)
-        # One-sign words create no torus part, so every table is constant.
-        zero = (0,) * self.rs.rank
-        return {
-            (b if sign > 0 else a): h.value(zero)
-            for (a, b), h in self.straighten_items(word, 1).items()
-        }
+        out = self._signed_cache.get(key)
+        if out is None:
+            out = {(0,) * self.nu: 1}
+            if word:
+                (k, n), rest = word[0], word[1:]
+                head = tuple(n if j == k else 0 for j in range(self.nu))
+                out = self.mul_signed_sum({head: 1}, self.straighten_signed(rest, sign), sign)
+            self._signed_cache[key] = out
+        return out
 
     def mul_signed(
         self, x: Tuple[int, ...], y: Tuple[int, ...], sign: int
@@ -733,22 +728,37 @@ class Engine:
         out = by_y.get(y)
         if out is None:
             k = next(k for k, n in enumerate(x) if n)
-            if not any(x[k + 1 :]):
-                word = ((k, x[k]),) + tuple((j, n) for j, n in enumerate(y) if n)
-                out = self._one_sign(word, sign)
+            head = x[: k + 1] + (0,) * (len(x) - k - 1)
+            rest = (0,) * (k + 1) + x[k + 1 :]
+            if any(rest):
+                out = self.mul_signed_sum({head: 1}, self.mul_signed(rest, y, sign), sign)
             else:
-                p = self.p
-                head = x[: k + 1] + (0,) * (len(x) - k - 1)
-                rest = (0,) * (k + 1) + x[k + 1 :]
-                out = {}
-                for m, c in self.mul_signed(rest, y, sign).items():
-                    for v, s in self.mul_signed(head, m, sign).items():
-                        total = (out.get(v, 0) + c * s) % p
-                        if total:
-                            out[v] = total
-                        else:
-                            del out[v]
+                # The one word straightened: one-sign words create no torus
+                # part, so every table is constant.
+                base = self.nu if sign > 0 else 0
+                word = ((base + k, x[k]),) + tuple(
+                    (base + j, n) for j, n in enumerate(y) if n)
+                zero = (0,) * self.rs.rank
+                out = {
+                    (b if sign > 0 else a): h.value(zero)
+                    for (a, b), h in self.straighten_items(word, 1).items()
+                }
             by_y[y] = out
+        return out
+
+    def mul_signed_sum(self, x: Dict, y: Dict, sign: int, out: Optional[Dict] = None) -> Dict:
+        """The sum of c * c' * mul_signed(m, d, sign) over m -> c in x and
+        d -> c' in y, zero entries dropped, added into out when given."""
+        p = self.p
+        out = {} if out is None else out
+        for m, c in x.items():
+            for d, c2 in y.items():
+                for v, s in self.mul_signed(m, d, sign).items():
+                    total = (out.get(v, 0) + c * c2 * s) % p
+                    if total:
+                        out[v] = total
+                    else:
+                        out.pop(v, None)
         return out
 
     # -- the cross product of raising and lowering blocks ----------------

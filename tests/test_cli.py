@@ -197,6 +197,7 @@ def test_mul_rejects_unsupported_prime(capsys, p):
         ["basis", "--r", "-1"],
         ["mu", "--lambda", "1", "--n", "1", "--type", "A2"],
         ["mu", "--lambda", "1 0", "--n", "1", "--type", "A1"],
+        ["mu", "--lambda", "1", "--n", "-1"],
     ],
 )
 def test_rejects_out_of_range_level_and_depth(capsys, argv):

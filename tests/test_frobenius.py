@@ -5,6 +5,7 @@ import random
 import pytest
 
 from hyperalg.frobenius import Frobenius, SimpleWordTable
+from hyperalg.idempotents import enumerate_Xm, mu_hpart
 from hyperalg.rootdata import build_root_system
 from hyperalg.straighten import Engine, InsufficientLevelError
 
@@ -121,6 +122,39 @@ def test_split_multiplicative_single_sign(label, p):
             assert apply(eng.multiply(x, y), r).equals(
                 eng.multiply(apply(x, r), apply(y, r))
             )
+
+
+@pytest.mark.parametrize("label", ["A2", "B2"])
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("r", [1, 2])
+def test_split_assembles_the_triangular_factors(label, p, r):
+    # fr_prime writes the image of a full-space basis element
+    # f^(a) mu(lam;1) e^(b) straight from the one-sign images; it must
+    # equal the product of the three factor images, and each one-sign
+    # image the product of its divided powers' images.
+    eng, fr = setup(label, p)
+    rng = random.Random(43)
+    level = r + 1  # fr_prime_zero needs mu(lam;1) periodic mod p^(level-r)
+    nu, zero = eng.nu, (0,) * eng.nu
+    weights = enumerate_Xm(eng.rs, p, 1)
+
+    def image(exps, sign):
+        out = eng.one(level)
+        for k, n in enumerate(exps):
+            root = tuple(sign * v for v in eng.rs.convex_roots[k])
+            out = eng.multiply(out, fr.fr_prime(eng.divided_power(root, n, level), r))
+        return out
+
+    for _ in range(8):
+        a = tuple(rng.randrange(p) for _ in range(nu))
+        b = tuple(rng.randrange(p) for _ in range(nu))
+        h = mu_hpart(eng, rng.choice(weights), 1, level)
+        fpart = fr.fr_prime(eng.monomial(a, zero, None, level), r)
+        epart = fr.fr_prime(eng.monomial(zero, b, None, level), r)
+        assert fpart.equals(image(a, -1)) and epart.equals(image(b, +1))
+        hpart = eng.hpart_element(fr.fr_prime_zero(h, r), level)
+        want = eng.multiply(eng.multiply(fpart, hpart), epart)
+        assert fr.fr_prime(eng.monomial(a, b, h, level), r).equals(want), (a, b)
 
 
 def test_split_multiplicative_torus():

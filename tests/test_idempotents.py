@@ -165,3 +165,10 @@ def test_level_too_small_rejected():
     eng = engine_for("A1", 2)
     with pytest.raises(InsufficientLevelError):
         mu_hpart(eng, (0,), 2, 1)
+
+
+def test_negative_depth_rejected():
+    # p^n - 1 is no binomial degree for n < 0.
+    eng = engine_for("A1", 2)
+    with pytest.raises(ValueError, match="depth n=-1"):
+        mu_hpart(eng, (1,), -1, 1)

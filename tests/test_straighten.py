@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hyperalg.frobenius import Frobenius
+from hyperalg.frobenius import Frobenius, SimpleWordTable
 from hyperalg.qoracle import QOracle
 from hyperalg.rootdata import build_root_system
 from hyperalg import straighten
@@ -502,10 +502,22 @@ def _word(exps):
     return tuple((k, n) for k, n in enumerate(exps) if n)
 
 
+def _whole_word(engine, word, sign):
+    """Normal form of a one-sign word from one `straighten_items` call on
+    the whole word: raising slots are nu + k, lowering slots k, and each
+    constant table is read at weight 0."""
+    base = engine.nu if sign > 0 else 0
+    zero = (0,) * engine.rs.rank
+    items = tuple((base + k, n) for k, n in word)
+    return {(b if sign > 0 else a): h.value(zero)
+            for (a, b), h in engine.straighten_items(items, 1).items()}
+
+
 @pytest.mark.parametrize("label,p", [("A1", 2), ("A2", 2), ("B2", 2), ("G2", 2), ("A2", 3)])
 def test_mul_signed_fold_matches_whole_word(label, p):
     # mul_signed folds x into y one divided power at a time; on a separate
-    # engine, straightening the whole word x y must give the same dict.
+    # engine, straightening the whole word x y at once must give the same
+    # dict.
     rs = build_root_system(label)
     fold, whole = Engine(rs, p), Engine(rs, p)
     xs = list(itertools.product(range(p), repeat=fold.nu))
@@ -516,8 +528,28 @@ def test_mul_signed_fold_matches_whole_word(label, p):
     for sign in (1, -1):
         for x in xs:
             for y in ys:
-                expect = whole.straighten_signed(_word(x) + _word(y), sign)
+                expect = _whole_word(whole, _word(x) + _word(y), sign)
                 assert fold.mul_signed(x, y, sign) == expect, (x, y, sign)
+
+
+# G2 at p=3, r=2 is left out: its whole words take ten seconds.
+@pytest.mark.parametrize("label,p", [("A2", 2), ("A2", 3), ("B2", 2), ("B2", 3), ("G2", 2)])
+@pytest.mark.parametrize("r", [1, 2])
+def test_straighten_signed_scaled_simple_words(label, p, r):
+    # The Fr' tables straighten the words in simple divided powers of each
+    # positive root's weight, with their exponents times p^r.
+    # straighten_signed folds each word right to left; straightening the
+    # whole word on a separate engine must agree.
+    rs = build_root_system(label)
+    fold, whole = Engine(rs, p), Engine(rs, p)
+    table = SimpleWordTable(fold)
+    simple = [rs.convex_index(rs.simple(i)) for i in range(rs.rank)]
+    for beta in rs.positive_roots:
+        for word in table._words_of_weight(beta):
+            scaled = tuple((simple[i], n * p**r) for i, n in word)
+            for sign in (1, -1):
+                got = fold.straighten_signed(scaled, sign)
+                assert got == _whole_word(whole, scaled, sign), (scaled, sign)
 
 
 def _wide(h, rank):
