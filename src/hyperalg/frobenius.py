@@ -11,7 +11,7 @@ combination of words in simple divided powers first; the rewriting table
 is built lazily per weight block by one F_p row reduction
 (`linalg.row_reduce`) of the block's word matrix next to an identity.
 The one-sign images are exponent vector -> scalar dicts multiplied by
-`Engine.mul_signed_sum`, so Fr'(f^(a) H e^(b)) is a sum of monomials
+`Engine.fold_signed`, so Fr'(f^(a) H e^(b)) is a sum of monomials
 f^(c) H' e^(d) already in normal form, which `fr_prime` writes directly.
 """
 
@@ -22,9 +22,8 @@ import numpy as np
 from typing import Dict, List, Tuple
 
 from .linalg import row_reduce
-from .straighten import (
-    Engine, HPart, InsufficientLevelError, PBWElement, _accumulate, exps_of_weight, exps_sum
-)
+from .straighten import (Engine, HPart, InsufficientLevelError, PBWElement, _accumulate,
+                         _add_scaled, exps_of_weight, exps_sum)
 
 # A word is a product of simple-root divided powers, stored as a tuple of
 # (simple index, exponent) with adjacent indices distinct.
@@ -157,12 +156,10 @@ class Frobenius:
         else:
             table = self._table_plus if sign > 0 else self._table_minus
             simple_idx = [rs.convex_index(rs.simple(i)) for i in range(rs.rank)]
-            zero = (0,) * rs.num_positive
             result = {}
             for c, word in table.express(exps):
                 scaled = tuple((simple_idx[i], m * q) for i, m in word)
-                straight = engine.straighten_signed(scaled, sign)
-                engine.mul_signed_sum({zero: c}, straight, sign, result)
+                _add_scaled(result, engine.straighten_signed(scaled, sign), c, engine.p)
         self._split_cache[key] = result
         return result
 
@@ -173,7 +170,7 @@ class Frobenius:
         out = {(0,) * engine.nu: 1}
         for k, n in enumerate(exps):
             if n:
-                out = engine.mul_signed_sum(out, self._split_root_power(k, n, sign, r), sign)
+                out = engine.fold_signed([out], self._split_root_power(k, n, sign, r), sign)[0]
         return out
 
     def fr_prime_plus(self, x: PBWElement, r: int = 1) -> PBWElement:

@@ -9,7 +9,7 @@ weight's coset modulo p^level; the weights with all coroot pairings in
 from __future__ import annotations
 
 from itertools import product
-from typing import Dict, List, Tuple
+from typing import List
 
 from .rootdata import RootSystem, Weight
 from .straighten import Engine, HPart, InsufficientLevelError, PBWElement
@@ -44,10 +44,3 @@ def mu_hpart(engine: Engine, lam: Weight, n: int, level: int) -> HPart:
 def mu_lambda(engine: Engine, lam: Weight, n: int, level: int) -> PBWElement:
     """Idempotent as an element: indicator of the coset of lam modulo p^n."""
     return engine.hpart_element(mu_hpart(engine, lam, n, level), level)
-
-
-def mu_binomial_coeffs(
-    engine: Engine, lam: Weight, n: int, level: int
-) -> Dict[Tuple[int, ...], int]:
-    """Binomial-basis expansion of the idempotent (independent test route)."""
-    return engine.hpart_to_binomial_basis(mu_hpart(engine, lam, n, level))

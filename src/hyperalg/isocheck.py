@@ -27,9 +27,9 @@ their torus table, so one `Engine.multiply` of the products so far, as
 batch (L, 1), with the stacked images of a key group, as (1, R), gives
 all L * R columns of the pair.  The raising and lowering spaces (hsize 1)
 have one element per key and only constant tables, so there each image
-is read as its constant coefficients c_d and the columns are folded as
-dicts of scalars by `Engine.mul_signed_sum`, sum c * c_d * mul_signed(m,
-d).  Both end in one column format, runs: a monomial key, the columns it
+is read as its constant coefficients c_d, a dict of scalars, and
+`Engine.fold_signed` multiplies all the columns so far by one image at a
+time.  Both end in one column format, runs: a monomial key, the columns it
 meets and one row of table entries per column.  `_TargetIndex.split`
 cuts the runs into weight blocks in one sorted pass.  Each block keeps
 one sparse form, its entries nonzero modulo p, from `peel` to the
@@ -469,16 +469,17 @@ def _product_runs(parts: List, hsize: int) -> Tuple[List, List, List]:
 
 def _scalar_runs(engine: Engine, factors: List, sign: int) -> Tuple[List, List, List]:
     """The column runs of a one-sign map, whose tables are all constant:
-    each image is read as its constant coefficients c_d, and a column c *
-    e^(m) + ... times an image is `Engine.mul_signed_sum`, the sum of c *
-    c_d * mul_signed(m, d) (f^(m) for sign -1)."""
+    each image is read as its constant coefficients, a scalar dict, and
+    one `Engine.fold_signed` per image of the next factor multiplies every
+    column so far by it; columns stay in first-factor-major order."""
     side = 1 if sign > 0 else 0
     zero = (0,) * engine.nu
     images = [[{key[side]: int(h.arr.item()) for key, h in y.terms.items()} for y in ys]
               for _, ys in factors]
     columns = images[0]
     for ys in images[1:]:
-        columns = [engine.mul_signed_sum(x, y, sign) for x in columns for y in ys]
+        per_image = [engine.fold_signed(columns, y, sign) for y in ys]
+        columns = [column for row in zip(*per_image) for column in row]
     runs: Dict = {}
     for c, column in enumerate(columns):
         for m, v in column.items():

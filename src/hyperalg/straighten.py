@@ -20,10 +20,10 @@ data: each output root carries a factor (k, *names), an integer times
 named bracket constants, and the output monomials are the exponent
 vectors of the pair's weight over the pattern's base coordinates, which
 `exps_of_weight` enumerates as the inverse of `exps_sum`.  One-sign
-products (`mul_signed`) fold the left factor in one divided power at a
-time, and `straighten_signed` a whole word right to left, both through
-`mul_signed_sum`; so each one-sign word straightened is one divided power
-times a normal monomial, memoized as a left action.
+products are scalar dicts, folded by `fold_signed` right to left one
+divided power at a time; a step that lands at or left of the monomial's
+first slot is a juxtaposition or one Lucas merge, any other one memoized
+`straighten_items` call.
 """
 
 from __future__ import annotations
@@ -213,10 +213,10 @@ class HPart:
         return HPart(flat.take(idx, axis=-1), self.p, self.level)
 
     def is_periodic(self, r: int) -> bool:
-        """True when the table depends only on the weight modulo p^r."""
+        """True when the table depends only on the weight modulo p^max(r, 0)."""
         if r >= self.level:
             return True
-        period = self.p**r
+        period = self.p ** max(r, 0)
         for axis in range(self.arr.ndim):
             if not np.array_equal(self.arr, np.roll(self.arr, period, axis=axis)):
                 return False
@@ -233,6 +233,16 @@ class HPart:
 
 # A word item during straightening: (slot, exponent), see Engine.straighten_items.
 Item = Tuple[int, int]
+
+
+def _add_scaled(out: Dict, d: Dict, c: int, p: int) -> None:
+    """Add c times the scalar dict d into out mod p, dropping zero sums."""
+    for v, s in d.items():
+        total = (out.get(v, 0) + c * s) % p
+        if total:
+            out[v] = total
+        else:
+            out.pop(v, None)
 
 
 def _accumulate(terms: Dict, key, h: HPart) -> None:
@@ -333,6 +343,7 @@ class Engine:
         self._binom_lut: Dict = {}
         self._weight_cache: Dict[int, Dict] = {1: {}, -1: {}}
         self._mul_signed_cache: Dict = {}
+        self._step_cache: Dict = {}
         self._ones: Dict[int, HPart] = {}
 
     # -- weights --------------------------------------------------------
@@ -688,77 +699,71 @@ class Engine:
         # h moves right past f^(a).
         _accumulate(out, (a, tuple(b)), h.shift(self.exps_weight(a, -1)).scale(coeff))
 
-    def straighten_signed(
-        self, word: Tuple[Tuple[int, int], ...], sign: int
-    ) -> Dict[Tuple[int, ...], int]:
-        """Normal form of a product of divided powers of one sign.
-
-        word is a tuple of (convex index, exponent); sign +1 means raising
-        block, -1 lowering.  Returns exponent-vector -> scalar mod p.  The
-        word is folded right to left, one divided power at a time, through
-        `mul_signed`; every suffix is memoized.
-        """
+    def straighten_signed(self, word: Tuple[Item, ...], sign: int) -> Dict:
+        """Normal form of a one-sign word of (convex index, exponent) items,
+        sign +1 raising and -1 lowering, as exponent vector -> scalar mod
+        p: one `_step` per item, right to left, every suffix memoized."""
         key = (word, sign)
         out = self._signed_cache.get(key)
         if out is None:
             out = {(0,) * self.nu: 1}
             if word:
                 (k, n), rest = word[0], word[1:]
-                head = tuple(n if j == k else 0 for j in range(self.nu))
-                out = self.mul_signed_sum({head: 1}, self.straighten_signed(rest, sign), sign)
+                out = self._step(k, n, self.straighten_signed(rest, sign), sign)
             self._signed_cache[key] = out
         return out
 
-    def mul_signed(
-        self, x: Tuple[int, ...], y: Tuple[int, ...], sign: int
-    ) -> Dict[Tuple[int, ...], int]:
-        """Product of two normal-ordered one-sign monomials.
-
-        Folds x into y one divided power at a time: with k the first
-        nonzero slot of x and x' the rest of x, x * y = g_k^(x_k) * (x' * y).
-        Every suffix product x' * y, and every step g_k^(x_k) * m, one
-        divided power times a normal monomial, is memoized here once.
-        """
+    def mul_signed(self, x: Tuple[int, ...], y: Tuple[int, ...], sign: int) -> Dict:
+        """Product of two normal-ordered one-sign monomials: `fold_signed` of
+        x into y, memoized."""
         if not any(x):
             return {y: 1}
-        # Keyed (x, sign) then y, so that no key tuple is kept per pair.
-        by_y = self._mul_signed_cache.get((x, sign))
-        if by_y is None:
-            by_y = self._mul_signed_cache[(x, sign)] = {}
-        out = by_y.get(y)
+        key = (x, y, sign)
+        out = self._mul_signed_cache.get(key)
         if out is None:
-            k = next(k for k, n in enumerate(x) if n)
-            head = x[: k + 1] + (0,) * (len(x) - k - 1)
-            rest = (0,) * (k + 1) + x[k + 1 :]
-            if any(rest):
-                out = self.mul_signed_sum({head: 1}, self.mul_signed(rest, y, sign), sign)
-            else:
-                # The one word straightened: one-sign words create no torus
-                # part, so every table is constant.
-                base = self.nu if sign > 0 else 0
-                word = ((base + k, x[k]),) + tuple(
-                    (base + j, n) for j, n in enumerate(y) if n)
-                zero = (0,) * self.rs.rank
-                out = {
-                    (b if sign > 0 else a): h.value(zero)
-                    for (a, b), h in self.straighten_items(word, 1).items()
-                }
-            by_y[y] = out
+            out = self._mul_signed_cache[key] = self.fold_signed([{x: 1}], {y: 1}, sign)[0]
         return out
 
-    def mul_signed_sum(self, x: Dict, y: Dict, sign: int, out: Optional[Dict] = None) -> Dict:
-        """The sum of c * c' * mul_signed(m, d, sign) over m -> c in x and
-        d -> c' in y, zero entries dropped, added into out when given."""
-        p = self.p
-        out = {} if out is None else out
-        for m, c in x.items():
-            for d, c2 in y.items():
-                for v, s in self.mul_signed(m, d, sign).items():
-                    total = (out.get(v, 0) + c * c2 * s) % p
-                    if total:
-                        out[v] = total
-                    else:
-                        out.pop(v, None)
+    def fold_signed(self, xs: Sequence[Dict], y: Dict, sign: int) -> List[Dict]:
+        """[x * y for x in xs], one-sign elements as exponent vector ->
+        scalar mod p dicts.  Each monomial m of each x folds into the whole
+        of y right to left, one `_step` per divided power; the partial
+        products are shared within the call, keyed by the suffix of m."""
+        partial: Dict = {}
+        out = []
+        for x in xs:
+            total: Dict = {}
+            for m, c in x.items():
+                acc = y
+                for k in range(len(m) - 1, -1, -1):
+                    if m[k]:
+                        got = partial.get(m[k:])
+                        if got is None:
+                            got = partial[m[k:]] = self._step(k, m[k], acc, sign)
+                        acc = got
+                _add_scaled(total, acc, c, self.p)
+            out.append(total)
+        return out
+
+    def _step(self, k: int, n: int, y: Dict, sign: int) -> Dict:
+        """g_k^(n) * y, g_k the k-th convex root of the given sign.  On a
+        monomial d of y with d[:k] zero it joins d, or merges into d[k] by
+        one Lucas binomial; else the word g_k^(n) g^(d), whose tables are
+        constant, is straightened once, memoized per (k, n, sign) then d."""
+        p, out = self.p, {}
+        memo = self._step_cache.setdefault((k, n, sign), {})
+        for d, c in y.items():
+            if any(d[:k]):
+                terms = memo.get(d)
+                if terms is None:
+                    base = self.nu if sign > 0 else 0
+                    word = ((base + k, n),) + tuple((base + j, v) for j, v in enumerate(d) if v)
+                    terms = memo[d] = {(b if sign > 0 else a): h.value((0,) * self.rs.rank)
+                                       for (a, b), h in self.straighten_items(word, 1).items()}
+            else:
+                s = lucas_binom(n + d[k], n, p) if d[k] else 1
+                terms = {d[:k] + (n + d[k],) + d[k + 1 :]: s} if s else {}
+            _add_scaled(out, terms, c, p)
         return out
 
     # -- the cross product of raising and lowering blocks ----------------

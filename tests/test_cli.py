@@ -198,6 +198,8 @@ def test_mul_rejects_unsupported_prime(capsys, p):
         ["mu", "--lambda", "1", "--n", "1", "--type", "A2"],
         ["mu", "--lambda", "1 0", "--n", "1", "--type", "A1"],
         ["mu", "--lambda", "1", "--n", "-1"],
+        # Fr'^r past the level on a table that is not constant
+        ["frsplit", "H(0,1)", "--type", "A2", "--p", "2", "--level", "1", "--r", "2"],
     ],
 )
 def test_rejects_out_of_range_level_and_depth(capsys, argv):

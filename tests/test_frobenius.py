@@ -185,6 +185,20 @@ def test_split_torus_requires_periodicity():
         fr.fr_prime_zero(h, 1)
 
 
+def test_split_torus_past_the_level():
+    # Fr'^r with r above the level keeps only constant tables: a table
+    # periodic modulo p^(level - r) < 1 has period 1.
+    eng, fr = setup("A2", 2)
+    level = 1
+    h = eng.binom_h_simple(1, 1, level)
+    const = eng.hpart_one(level)
+    assert not h.is_periodic(-1) and const.is_periodic(-1)
+    for r in (level + 1, level + 2):
+        with pytest.raises(InsufficientLevelError):
+            fr.fr_prime_zero(h, r)
+        assert fr.fr_prime_zero(const, r).equals(const)
+
+
 def test_split_rejects_mixed_sign_input():
     eng, fr = setup("A2", 2)
     x = eng.multiply(

@@ -366,12 +366,14 @@ def test_batched_columns_match_per_column_sampled(spec):
     _assert_batched_matches_per_column(spec, engine, sample=150)
 
 
-@pytest.mark.parametrize("system,sample", [("B2", None), ("G2", 150)])
+@pytest.mark.parametrize("system,sample", [("B2", None), ("G2", 150), ("A2", 150)])
 def test_plus_columns_match_per_column_on_b2_g2(system, sample):
-    # The raising-algebra maps on the 8- and 12-root systems: B2 in full
-    # (256 columns), G2 sampled (4096).
-    spec = MapSpec("Thm4.5-first", system, 2, 1, 1)
-    engine = Engine(build_root_system(system), 2)
+    # The raising-algebra maps on the 8- and 12-root systems at p=2: B2 in
+    # full (256 columns), G2 sampled (4096).  And A2 at p=5, sampled
+    # (15625), where Lucas merges that vanish mod p are common.
+    p = 5 if system == "A2" else 2
+    spec = MapSpec("Thm4.5-first", system, p, 1, 1)
+    engine = Engine(build_root_system(system), p)
     _assert_batched_matches_per_column(spec, engine, sample=sample)
 
 

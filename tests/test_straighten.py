@@ -532,6 +532,47 @@ def test_mul_signed_fold_matches_whole_word(label, p):
                 assert fold.mul_signed(x, y, sign) == expect, (x, y, sign)
 
 
+def _signed_sum(engine, x, y, sign):
+    """The sum of c * c' * mul_signed(m, d) over m -> c in x and d -> c' in
+    y, modulo p, zero sums dropped."""
+    out = {}
+    for m, c in x.items():
+        for d, c2 in y.items():
+            for v, s in engine.mul_signed(m, d, sign).items():
+                out[v] = (out.get(v, 0) + c * c2 * s) % engine.p
+    return {v: s for v, s in out.items() if s}
+
+
+@pytest.mark.parametrize("label", ["A2", "B2", "G2"])
+@pytest.mark.parametrize("p", [2, 3])
+def test_fold_signed_matches_sum_of_monomial_products(label, p):
+    # fold_signed folds whole dicts and shares partial products between
+    # the monomials of its left dicts; summing mul_signed over every pair
+    # of monomials on a separate engine must give the same dicts.  One
+    # left dict is made to cancel a key of its product, which must go.
+    rs = build_root_system(label)
+    fold, ref = Engine(rs, p), Engine(rs, p)
+    rng = random.Random(11)
+
+    def monomial():
+        return tuple(rng.randrange(p) for _ in range(fold.nu))
+
+    for sign in (1, -1):
+        y = {monomial(): rng.randrange(1, p) for _ in range(6)}
+        xs = [{monomial(): rng.randrange(1, p) for _ in range(3)} for _ in range(6)]
+        while True:
+            m1, m2 = monomial(), monomial()
+            a, b = _signed_sum(ref, {m1: 1}, y, sign), _signed_sum(ref, {m2: 1}, y, sign)
+            common = [v for v in a if v in b and m1 != m2]
+            if common:
+                break
+        gone = common[0]
+        xs.append({m1: 1, m2: -a[gone] * pow(b[gone], p - 2, p) % p})
+        got = fold.fold_signed(xs, y, sign)
+        assert got == [_signed_sum(ref, x, y, sign) for x in xs], (label, p, sign)
+        assert gone not in got[-1] and all(all(c for c in g.values()) for g in got)
+
+
 # G2 at p=3, r=2 is left out: its whole words take ten seconds.
 @pytest.mark.parametrize("label,p", [("A2", 2), ("A2", 3), ("B2", 2), ("B2", 3), ("G2", 2)])
 @pytest.mark.parametrize("r", [1, 2])
