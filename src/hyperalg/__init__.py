@@ -6,7 +6,7 @@ and a matrix-rank harness certifying that various multiplication maps are
 linear isomorphisms at small rank, prime, and level.
 """
 
-from .rootdata import RootSystem, Rank2Class, build_root_system
+from .rootdata import RootSystem, build_root_system
 from .chevalley import StructureConstants
 from .straighten import Engine, HPart, PBWElement, InsufficientLevelError, lucas_binom
 from .qoracle import QOracle, NotInZFormError
@@ -14,7 +14,6 @@ from . import frobenius, idempotents, isocheck
 
 __all__ = [
     "RootSystem",
-    "Rank2Class",
     "build_root_system",
     "StructureConstants",
     "Engine",

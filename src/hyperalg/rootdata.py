@@ -4,10 +4,9 @@ Roots are plain integer tuples giving coordinates over the simple roots.
 Weights are integer tuples of pairings with the simple coroots
 (fundamental-weight coordinates).  The module also provides the convex
 ordering of positive roots induced by a deterministically chosen reduced
-word for the longest Weyl-group element, the classification of root
-pairs whose sum is again a root by angle and length inside the rank-2
-subsystem they generate, and a base of that subsystem for each pair,
-memoized per root system so that every engine on it shares the search.
+word for the longest Weyl-group element, and for each pair of roots a
+base of the rank-2 subsystem they generate, memoized per root system so
+that every engine on it shares the search.
 Every rank-2 coordinate question, which roots lie in the lattice of a
 pair and the coordinates of a root in a base, is one integer solve,
 `base_coords`.
@@ -15,7 +14,6 @@ pair and the coordinates of a root in a base, is one integer solve,
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
 
@@ -46,20 +44,6 @@ def base_coords(
     if x % det or y % det:
         return None
     return (x // det, y // det)
-
-
-@dataclass(frozen=True)
-class Rank2Class:
-    """Classification of an ordered root pair.
-
-    case_tag is one of "A".."H" when the pair sums to a root, otherwise
-    "commuting", "opposite", or "proportional".  m is the largest
-    nonnegative integer q such that (second root) - q*(first root) is a
-    root; it is only meaningful for the A-H tags.
-    """
-
-    case_tag: str
-    m: int
 
 
 class RootSystem:
@@ -182,7 +166,7 @@ class RootSystem:
         """Position of a positive root in the convex ordering."""
         return self._convex_index[gamma]
 
-    # -- pair classification --------------------------------------------
+    # -- root pairs -----------------------------------------------------
 
     def m_value(self, alpha: Root, gamma: Root) -> int:
         """Largest q >= 0 with gamma - q*alpha a root."""
@@ -253,44 +237,6 @@ class RootSystem:
             raise RuntimeError(f"no rank-2 base found for {gamma}, {delta}")
         self._rank2_bases[key] = best
         return best
-
-    def classify_pair(self, gamma: Root, delta: Root) -> Rank2Class:
-        if gamma not in self._root_set or delta not in self._root_set:
-            raise ValueError("classify_pair expects roots")
-        if delta == tuple(-c for c in gamma):
-            return Rank2Class("opposite", 0)
-        if delta == gamma:
-            return Rank2Class("proportional", 0)
-        total = tuple(gamma[i] + delta[i] for i in range(self.rank))
-        if total not in self._root_set:
-            return Rank2Class("commuting", 0)
-        m = self.m_value(gamma, delta)
-        n_g = self.ip(gamma, gamma)
-        n_d = self.ip(delta, delta)
-        n_s = self.ip(total, total)
-        count = len(self.subsystem_roots(gamma, delta))
-        if count == 6:
-            tag = "A"
-        elif count == 8:
-            if n_g == n_d:
-                tag = "B"
-            elif n_g < n_d:
-                tag = "D"
-            else:
-                tag = "E"
-        elif count == 12:
-            if n_g == n_d:
-                tag = "C" if n_s > n_g else "H"
-            elif n_g < n_d:
-                tag = "F"
-            else:
-                tag = "G"
-        else:
-            raise RuntimeError(f"unexpected subsystem size {count}")
-        expected_m = {"A": 0, "B": 1, "C": 2, "D": 0, "E": 0, "F": 0, "G": 0, "H": 1}
-        if expected_m[tag] != m:
-            raise RuntimeError(f"inconsistent classification {tag} with m={m}")
-        return Rank2Class(tag, m)
 
 
 @lru_cache(maxsize=None)

@@ -200,6 +200,12 @@ def test_mul_rejects_unsupported_prime(capsys, p):
         ["mu", "--lambda", "1", "--n", "-1"],
         # Fr'^r past the level on a table that is not constant
         ["frsplit", "H(0,1)", "--type", "A2", "--p", "2", "--level", "1", "--r", "2"],
+        # grammar refusals: weight rank, idempotent level above the torus
+        # level, a coefficient after a factor, Cartan index out of range
+        ["normalize", "mu(1; 1)", "--type", "A2", "--p", "2", "--level", "1"],
+        ["normalize", "mu(1 0; 2)", "--type", "A2", "--p", "2", "--level", "1"],
+        ["normalize", "e[1 0]^(1)*2", "--type", "A2", "--p", "2", "--level", "1"],
+        ["normalize", "H(2,1)", "--type", "A2", "--p", "2", "--level", "1"],
     ],
 )
 def test_rejects_out_of_range_level_and_depth(capsys, argv):
@@ -207,6 +213,13 @@ def test_rejects_out_of_range_level_and_depth(capsys, argv):
     captured = capsys.readouterr()
     assert code == 1
     assert _error(captured)
+
+
+def test_mu_factor_normalizes_to_the_mu_subcommand(capsys):
+    flags = ["--type", "A2", "--p", "2", "--level", "1"]
+    code, out = run_cli(capsys, "normalize", "mu(1 0; 1)", *flags)
+    assert code == 0
+    assert run_cli(capsys, "mu", "--lambda", "1 0", "--n", "1", *flags) == (0, out)
 
 
 def test_depth_zero_is_the_identity(capsys):

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from hyperalg.cli import parse_element, serialize_element
 from hyperalg.frobenius import Frobenius, SimpleWordTable
 from hyperalg.idempotents import enumerate_Xm, mu_hpart
 from hyperalg.rootdata import build_root_system
@@ -15,6 +16,13 @@ SYSTEMS = ["A1", "A2", "B2", "G2"]
 def setup(label, p):
     eng = Engine(build_root_system(label), p)
     return eng, Frobenius(eng)
+
+
+def lift(eng, h, level):
+    """The table h read at a higher level: written in the binomial basis
+    by the element grammar and parsed back at that level."""
+    x = parse_element(serialize_element(eng.hpart_element(h, h.level)), eng, level)
+    return x.terms[((0,) * eng.nu,) * 2]
 
 
 def random_element(eng, rng, level, max_exp=4, factors=3):
@@ -163,13 +171,8 @@ def test_split_multiplicative_torus():
         r, level = 1, 2
         h1 = eng.binom_h_simple(0, 1, 1)
         h2 = eng.binom_h_simple(1, 1, 1)
-        # lift level-1 tables into the working level by tiling
-        lift1 = eng.hpart_from_binomial_basis(
-            eng.hpart_to_binomial_basis(h1), level
-        )
-        lift2 = eng.hpart_from_binomial_basis(
-            eng.hpart_to_binomial_basis(h2), level
-        )
+        # lift level-1 tables into the working level through the grammar
+        lift1, lift2 = (lift(eng, h, level) for h in (h1, h2))
         lhs = fr.fr_prime_zero(lift1.mul(lift2), r)
         rhs = fr.fr_prime_zero(lift1, r).mul(fr.fr_prime_zero(lift2, r))
         assert lhs.equals(rhs)

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from hyperalg.cli import parse_element, serialize_element
 from hyperalg.frobenius import Frobenius
 from hyperalg.idempotents import enumerate_Xm, mu_hpart, mu_lambda
 from hyperalg.rootdata import build_root_system
@@ -17,6 +18,13 @@ CASES = [
 
 def engine_for(label, p):
     return Engine(build_root_system(label), p)
+
+
+def lift(eng, h, level):
+    """The table h read at a higher level: written in the binomial basis
+    by the element grammar and parsed back at that level."""
+    x = parse_element(serialize_element(eng.hpart_element(h, h.level)), eng, level)
+    return x.terms[((0,) * eng.nu,) * 2]
 
 
 @pytest.mark.parametrize("label,p,n", CASES)
@@ -77,7 +85,7 @@ def test_orthogonal_idempotents_partition_unity(label, p, n):
     level = n
     xs = enumerate_Xm(eng.rs, p, n)
     hs = {lam: mu_hpart(eng, lam, n, level) for lam in xs}
-    total = HPart.zeros(p, level, eng.rs.rank)
+    total = HPart(np.zeros((p**level,) * eng.rs.rank, dtype=np.int16), p, level)
     for lam, h in hs.items():
         assert h.mul(h).equals(h)
         total = total.add(h)
@@ -115,10 +123,7 @@ def test_composition_through_split(label, p):
         for lamp in enumerate_Xm(eng.rs, p, n):
             combined = tuple(lam[i] + p**m * lamp[i] for i in range(rank))
             lhs = mu_hpart(eng, combined, n + m, level)
-            inner = mu_hpart(eng, lamp, n, n)
-            lifted = eng.hpart_from_binomial_basis(
-                eng.hpart_to_binomial_basis(inner), level
-            )
+            lifted = lift(eng, mu_hpart(eng, lamp, n, n), level)
             rhs = mu_hpart(eng, lam, m, level).mul(
                 fr.fr_prime_zero(lifted, m)
             )
@@ -148,9 +153,10 @@ def test_binomial_route_matches_indicator_route():
         eng = engine_for("A2", p)
         n = level = 2
         lam = (1, p - 1)
-        coeffs = eng.hpart_to_binomial_basis(mu_hpart(eng, lam, n, level))
-        back = eng.hpart_from_binomial_basis(coeffs, level)
-        assert back.equals(mu_hpart(eng, lam, n, level))
+        h = mu_hpart(eng, lam, n, level)
+        x = eng.hpart_element(h, level)
+        assert parse_element(serialize_element(x), eng, level).equals(x)
+        coeffs = eng.hpart_to_binomial_basis(h)
         # the top binomial degree must appear: the defining product has
         # degree p^n - 1 in each variable
         assert any(max(k) == p**n - 1 for k in coeffs)

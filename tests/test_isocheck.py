@@ -143,6 +143,20 @@ def test_scaled_torus_splitting_is_not_a_splitting(monkeypatch):
         assert verify(spec).multiplicative is False
 
 
+def test_multiplicative_check_fails_on_products():
+    # Fr' plus e_(1,0)^(1) on every split factor: Fr kills the added term,
+    # so Fr o Fr' is still the identity and only the product comparison
+    # can fail.
+    spec = MapSpec("Prop5.1-first", "A2", 2, 1, 1)
+    eng = Engine(build_root_system("A2"), 2)
+    assert isocheck._check_multiplicative(spec, eng, Frobenius(eng), 2)
+    bad = Frobenius(eng)
+    honest = bad.fr_prime
+    bad.fr_prime = lambda x, r=1: (
+        honest(x, r).add(eng.divided_power((1, 0), 1, x.level)) if r >= 1 else honest(x, r))
+    assert not isocheck._check_multiplicative(spec, eng, bad, 2)
+
+
 def test_column_cap_enforced(monkeypatch):
     def refuse(*args):
         raise AssertionError("multiply called although the cap refuses")

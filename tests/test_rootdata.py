@@ -1,4 +1,4 @@
-"""Root-system combinatorics: roots, convex order, pair classification."""
+"""Root-system combinatorics: roots, convex order, rank-2 pair bases."""
 
 import math
 
@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from hyperalg.rootdata import build_root_system
+from hyperalg.straighten import Engine
 
 SYSTEMS = ["A1", "A2", "B2", "G2"]
 
@@ -58,44 +59,25 @@ def test_pairing_integrality(label):
         )
 
 
-def test_classification_tags():
-    a2 = build_root_system("A2")
-    assert a2.classify_pair((1, 0), (0, 1)).case_tag == "A"
-    assert a2.classify_pair((1, 0), (-1, 0)).case_tag == "opposite"
-    b2 = build_root_system("B2")
-    # short + long at 3pi/4, short first
-    assert b2.classify_pair((1, 0), (0, 1)).case_tag == "D"
-    assert b2.classify_pair((0, 1), (1, 0)).case_tag == "E"
-    # short + short at pi/2
-    assert b2.classify_pair((1, 0), (1, 1)).case_tag == "B"
-    g2 = build_root_system("G2")
-    assert g2.classify_pair((1, 0), (0, 1)).case_tag == "F"
-    assert g2.classify_pair((0, 1), (1, 0)).case_tag == "G"
-    # two short roots at pi/3 summing to a long root
-    assert g2.classify_pair((1, 1), (2, 1)).case_tag == "C"
-    assert g2.classify_pair((1, 0), (2, 1)).case_tag == "C"
-    # two short roots at 2pi/3 summing to a short root
-    assert g2.classify_pair((1, 0), (1, 1)).case_tag == "H"
-    assert g2.classify_pair((1, 1), (1, 0)).case_tag == "H"
-    # long + long pairs generate only the long-root A2 subsystem
-    assert g2.classify_pair((0, 1), (3, 1)).case_tag == "A"
-    # short + long at pi/2 commutes
-    assert g2.classify_pair((2, 1), (0, 1)).case_tag == "commuting"
+# The root counts of the rank-2 subsystems that each system's pairs
+# generate; G2's long roots generate a subsystem of type A2.
+_PAIR_COUNTS = {"A2": (6,), "B2": (8,), "G2": (6, 12)}
 
 
 @pytest.mark.parametrize("label", SYSTEMS[1:])
 def test_classification_total(label):
-    # Every ordered pair of distinct non-opposite roots classifies cleanly.
+    # A pair of roots of either sign whose sum is a root is classified by
+    # its rank2_base key.  The keys reached are every Engine._PATTERNS key
+    # of the system's counts, so over A2, B2 and G2 no pattern is unused.
     rs = build_root_system(label)
+    keys = set()
     for g in rs.roots:
         for d in rs.roots:
-            cls = rs.classify_pair(g, d)
-            s = tuple(x + y for x, y in zip(g, d))
-            if rs.is_root(s):
-                assert cls.case_tag in "ABCDEFGH"
-                assert cls.m == rs.m_value(g, d)
-            else:
-                assert cls.case_tag in ("commuting", "opposite", "proportional")
+            if rs.is_root(tuple(x + y for x, y in zip(g, d))):
+                _, _, cg, cd, count = rs.rank2_base(g, d)
+                keys.add((count, (cg, cd)))
+    assert keys == {(c, k) for c in _PAIR_COUNTS[label] for k in Engine._PATTERNS[c]}
+    assert {c for cs in _PAIR_COUNTS.values() for c in cs} == set(Engine._PATTERNS)
 
 
 def test_m_value_examples():
